@@ -5,8 +5,6 @@ from .dispersion import (
     IndexIncrementTable,
     SellmeierSet,
     WaveguideGeometry,
-    bulk_index,
-    index_increment,
     index_profile,
     load_sellmeier_sets,
 )
@@ -27,7 +25,6 @@ from .modesolver import (
     TrialField,
     group_index,
     neff_closed_form,
-    neff_quadrature,
     solve_mode,
 )
 from .pipeline import DesignResult, Material, ModeContext, design_point
@@ -37,21 +34,19 @@ from .qpm import (
     PolingPattern,
     fourier_component,
     periods_from_frequencies,
-    phase_mismatch,
+    phase_matching_k,
     required_frequencies,
     synthesize_pattern,
 )
 from .spdc import (
     EntanglementReport,
     ProcessAmplitudes,
-    amplitude_ratio_closed_form,
     bandwidth_approx,
     filtered_gamma,
     fwhm,
     gamma,
     grating_scheme_efficiency_ratio,
     overlap_integral,
-    overlap_integral_quadrature,
     relative_amplitudes,
     spectrum,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,9 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="sample the two emission spectra")
     common(p_spec)
     p_spec.add_argument("--half-range-nm", type=float, default=10.0,
-                        help="scan half-range around the design signal wavelength")
+                        help="scan half-range around the design signal "
+                             "wavelength (positive; must cover both FWHMs)")
     p_spec.add_argument("--samples", type=int, default=2001,
-                        help="number of wavelength samples")
+                        help="number of wavelength samples (at least 3)")
 
     p_grat = sub.add_parser("grating", help="synthesize the poling pattern")
     common(p_grat)
@@ -127,6 +129,11 @@ def cmd_sweep(cfg: DesignConfig, args) -> int:
 
 
 def cmd_spectrum(cfg: DesignConfig, args) -> int:
+    if args.samples < 3:
+        raise ConfigError(f"--samples must be at least 3, got {args.samples}")
+    if not 0.0 < args.half_range_nm < math.inf:
+        raise ConfigError(f"--half-range-nm must be positive and finite, "
+                          f"got {args.half_range_nm}")
     result = design_point(cfg.interaction(), cfg.single_geometry(),
                           cfg.material(), cfg.solver.group_index_step_nm)
     grid, i_oe, i_eo, f_oe, f_eo = result.spectra(args.half_range_nm, args.samples)

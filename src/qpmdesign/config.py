@@ -23,16 +23,9 @@ from .qpm import InteractionSpec
 
 @dataclass
 class SolverSettings:
-    grid_points: int = 16
-    alpha_min: float = 0.2
-    alpha_max: float = 8.0
     group_index_step_nm: float = 0.1
 
     def validate(self):
-        if self.grid_points < 4:
-            raise ConfigError("solver.grid_points must be at least 4")
-        if not 0.0 < self.alpha_min < self.alpha_max:
-            raise ConfigError("solver alpha range must satisfy 0 < min < max")
         if self.group_index_step_nm <= 0:
             raise ConfigError("solver.group_index_step_nm must be positive")
 
@@ -52,7 +45,6 @@ class DesignConfig:
     length_mm: float = 10.0
     width_um: float | list[float] = 10.0
     depth_um: float | list[float] = 10.0
-    cover_index: float = 1.0
     sellmeier_file: str | None = None
     index_increments: list[list[float]] = field(
         default_factory=lambda: [list(row) for row in DEFAULT_INCREMENTS]
@@ -88,8 +80,7 @@ class DesignConfig:
         if self.is_sweep:
             raise ConfigError("this command requires a single geometry, got sweep lists")
         return WaveguideGeometry(width_w=float(self.width_um),
-                                 depth_h=float(self.depth_um),
-                                 cover_index_nc=self.cover_index)
+                                 depth_h=float(self.depth_um))
 
     def sweep_geometries(self) -> list[WaveguideGeometry]:
         """Depth-major, width-minor ordering; paired lists of equal length
@@ -102,20 +93,14 @@ class DesignConfig:
             pairs = list(zip(depths, widths))
         else:
             pairs = [(d, w) for d in depths for w in widths]
-        return [WaveguideGeometry(width_w=float(w), depth_h=float(d),
-                                  cover_index_nc=self.cover_index)
+        return [WaveguideGeometry(width_w=float(w), depth_h=float(d))
                 for d, w in pairs]
 
     def validate(self):
         self.interaction()
         self.solver.validate()
-        if self.cover_index < 1.0:
-            raise ConfigError("cover_index must be >= 1")
         self.material()
-        for geom in ([self.single_geometry()] if not self.is_sweep
-                     else self.sweep_geometries()):
-            if geom.width_w <= 0 or geom.depth_h <= 0:
-                raise ConfigError("geometry dimensions must be positive")
+        self.sweep_geometries()  # WaveguideGeometry validates each geometry
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -126,22 +111,16 @@ class DesignConfig:
             "length_mm": self.length_mm,
             "width_um": self.width_um,
             "depth_um": self.depth_um,
-            "cover_index": self.cover_index,
             "sellmeier_file": self.sellmeier_file,
             "index_increments": self.index_increments,
-            "solver": {
-                "grid_points": self.solver.grid_points,
-                "alpha_min": self.solver.alpha_min,
-                "alpha_max": self.solver.alpha_max,
-                "group_index_step_nm": self.solver.group_index_step_nm,
-            },
+            "solver": {"group_index_step_nm": self.solver.group_index_step_nm},
         }
 
 
 def config_from_dict(doc: dict[str, Any]) -> DesignConfig:
     known = {
         "lambda_p_nm", "lambda_s_nm", "lambda_i_nm", "temperature_c",
-        "length_mm", "width_um", "depth_um", "cover_index", "sellmeier_file",
+        "length_mm", "width_um", "depth_um", "sellmeier_file",
         "index_increments", "solver",
     }
     unknown = set(doc) - known

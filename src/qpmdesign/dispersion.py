@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Literal
 
@@ -98,11 +98,6 @@ def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, Sellmeier
     return out
 
 
-def bulk_index(sset: SellmeierSet, wavelength_nm: float, temperature_c: float = 25.0) -> float:
-    """Bulk substrate index n_b for one polarization."""
-    return sset.index(wavelength_nm, temperature_c)
-
-
 # Ti in-diffusion surface index increments at the design wavelengths.
 # Three-point table; values between entries are linearly interpolated.
 DEFAULT_INCREMENTS = (
@@ -157,39 +152,32 @@ class IndexIncrementTable:
         return float(np.interp(wavelength_nm, lams, vals))
 
 
-def index_increment(table: IndexIncrementTable, polarization: str, wavelength_nm: float) -> float:
-    """Delta-n for one polarization; exact at table nodes, linear between."""
-    return table.increment(polarization, wavelength_nm)
-
-
 @dataclass(frozen=True)
 class WaveguideGeometry:
-    """Channel geometry: Gaussian 1/e half-width w, depth h (um), cover index."""
+    """Channel geometry: Gaussian 1/e half-width w and depth h (um)."""
 
     width_w: float
     depth_h: float
-    cover_index_nc: float = 1.0
 
     def __post_init__(self):
         if self.width_w <= 0 or self.depth_h <= 0:
             raise ConfigError("waveguide width and depth must be positive")
-        if self.cover_index_nc < 1.0:
-            raise ConfigError("cover index must be >= 1")
 
 
 def index_profile(geom: WaveguideGeometry, n_b: float, delta_n: float, y_um, z_um):
     """Squared-index profile n^2(y, z) of the diffused channel.
 
     Substrate half-space z < 0 carries the double-Gaussian increment
-    n_b^2 + 2 n_b dn exp(-y^2/w^2) exp(-z^2/h^2); the cover z >= 0 is uniform
-    at nc^2. Accepts scalars or numpy arrays.
+    n_b^2 + 2 n_b dn exp(-y^2/w^2) exp(-z^2/h^2); the cover z >= 0 is air
+    (n = 1). The trial fields vanish there, so no result depends on the
+    cover. Accepts scalars or numpy arrays.
     """
     y = np.asarray(y_um, dtype=float)
     z = np.asarray(z_um, dtype=float)
     substrate = n_b**2 + 2.0 * n_b * delta_n * np.exp(-(y**2) / geom.width_w**2) * np.exp(
         -(z**2) / geom.depth_h**2
     )
-    out = np.where(z < 0.0, substrate, geom.cover_index_nc**2)
+    out = np.where(z < 0.0, substrate, 1.0)
     if out.ndim == 0:
         return float(out)
     return out

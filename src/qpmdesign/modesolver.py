@@ -2,8 +2,8 @@
 
 The trial family is a two-parameter Hermite-Gauss field that vanishes at the
 substrate surface (z = 0) and in the cover. The effective index comes from
-maximizing a closed-form functional in (alpha_y, alpha_z); an adaptive
-2-D quadrature of the same functional serves as an independent oracle.
+maximizing a closed-form functional in (alpha_y, alpha_z); the test suite
+checks it against an adaptive 2-D quadrature of the same functional.
 
 For weakly confining cases (long wavelengths, small cross sections) the
 global supremum of the functional sits on the alpha -> 0 boundary, where the
@@ -15,16 +15,21 @@ index the mode is only quasi-guided and is flagged as such.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .dispersion import WaveguideGeometry
-from .errors import NoGuidedMode, QuadratureFailure
+from .errors import NoGuidedMode
+
+# Seed grid for the interior-maximum search: GRID_N x GRID_N points over
+# ALPHA_RANGE in both variational parameters, refined by Nelder-Mead to XATOL.
+GRID_N = 16
+ALPHA_RANGE = (0.2, 8.0)
+XATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,36 +120,7 @@ def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
     return float(out) if out.ndim == 0 else out
 
 
-def neff_quadrature(field: TrialField, profile: Callable[[float, float], float],
-                    wavelength_nm: float, tol: float = 1e-10) -> float:
-    """n_eff^2 from adaptive 2-D quadrature of the variational functional.
-
-    n_eff^2 = -(1/k0^2) iint |grad psi|^2 + iint n^2(y,z) |psi|^2
-    over y in R, z < 0. ``profile`` evaluates n^2(y, z). Used as the oracle
-    for the closed form; raises QuadratureFailure if the error estimate
-    exceeds ``tol``.
-    """
-    k0 = 2.0 * math.pi / (wavelength_nm * 1e-3)
-
-    def integrand(z: float, y: float) -> float:
-        psi = field.amplitude(y, z)
-        gy, gz = field.grad(y, z)
-        return -(gy**2 + gz**2) / k0**2 + profile(y, z) * psi**2
-
-    ylim = 8.0 * field.width_w / field.alpha_y
-    zlim = 8.0 * field.depth_h / field.alpha_z
-    val, err = integrate.dblquad(
-        integrand, -ylim, ylim, -zlim, 0.0, epsabs=tol * 1e-2, epsrel=1e-12
-    )
-    if err > tol:
-        raise QuadratureFailure(
-            f"quadrature error estimate {err:.2e} above tolerance {tol:.2e}"
-        )
-    return val
-
-
-def _interior_maximum(width_w, depth_h, n_b, delta_n, wavelength_nm,
-                      grid_n=16, alpha_range=(0.2, 8.0), xatol=1e-9):
+def _interior_maximum(width_w, depth_h, n_b, delta_n, wavelength_nm):
     """Best interior local maximum of the closed form, or None.
 
     Seeds from grid points that strictly dominate their 8 neighbors (the
@@ -161,11 +137,11 @@ def _interior_maximum(width_w, depth_h, n_b, delta_n, wavelength_nm,
 
         res = optimize.minimize(
             neg, seed, method="Nelder-Mead",
-            options=dict(xatol=xatol, fatol=1e-18, maxiter=20000, maxfev=20000),
+            options=dict(xatol=XATOL, fatol=1e-18, maxiter=20000, maxfev=20000),
         )
         return res.x, -res.fun
 
-    for n, (lo, hi) in ((grid_n, alpha_range), (64, (0.05, 12.0))):
+    for n, (lo, hi) in ((GRID_N, ALPHA_RANGE), (64, (0.05, 12.0))):
         grid = np.linspace(lo, hi, n)
         ay, az = np.meshgrid(grid, grid, indexing="ij")
         vals = neff_closed_form(ay, az, width_w, depth_h, n_b, delta_n, wavelength_nm)
@@ -181,7 +157,7 @@ def _interior_maximum(width_w, depth_h, n_b, delta_n, wavelength_nm,
         for i, j in peaks:
             x, v = refine([grid[i + 1], grid[j + 1]])
             # discard refinements that slid onto the alpha -> 0 boundary
-            if min(x) < 10.0 * xatol:
+            if min(x) < 10.0 * XATOL:
                 continue
             if best is None or v > best[1]:
                 best = (x, v)
@@ -192,9 +168,7 @@ def _interior_maximum(width_w, depth_h, n_b, delta_n, wavelength_nm,
 
 def solve_mode(geom: WaveguideGeometry, n_b: float, delta_n: float,
                wavelength_nm: float, polarization: str = "ordinary",
-               require_bound: bool = True, grid_n: int = 16,
-               alpha_range: tuple[float, float] = (0.2, 8.0),
-               xatol: float = 1e-9) -> ModalSolution:
+               require_bound: bool = True) -> ModalSolution:
     """Maximize the effective-index functional over (alpha_y, alpha_z).
 
     Raises NoGuidedMode when no interior stationary point exists (e.g.
@@ -208,8 +182,7 @@ def solve_mode(geom: WaveguideGeometry, n_b: float, delta_n: float,
         raise NoGuidedMode(
             f"delta_n = {delta_n}: no index increment, mode cannot be guided"
         )
-    best = _interior_maximum(geom.width_w, geom.depth_h, n_b, delta_n,
-                             wavelength_nm, grid_n, alpha_range, xatol)
+    best = _interior_maximum(geom.width_w, geom.depth_h, n_b, delta_n, wavelength_nm)
     if best is None:
         raise NoGuidedMode(
             f"no interior maximum of n_eff^2 at {wavelength_nm} nm "
@@ -252,19 +225,3 @@ def group_index(mode_at: Callable[[float], ModalSolution], wavelength_nm: float,
     nm_ = mode_at(wavelength_nm - step_nm).n_eff
     dn_dlam = (np_ - nm_) / (2.0 * step_nm)
     return n0 - wavelength_nm * dn_dlam
-
-
-def export_field_map(field: TrialField, path, n_points: int = 201) -> None:
-    """Write a CSV grid (y_um, z_um, psi) over [-3w, 3w] x [-4h, 0]."""
-    w, h = field.width_w, field.depth_h
-    ys = np.linspace(-3.0 * w, 3.0 * w, n_points)
-    zs = np.linspace(-4.0 * h, 0.0, n_points)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        fh.write(f"# trial field map, alpha_y={field.alpha_y!r}, "
-                 f"alpha_z={field.alpha_z!r}, w_um={w!r}, h_um={h!r}\n")
-        writer.writerow(["y_um", "z_um", "psi"])
-        for y in ys:
-            for z in zs:
-                writer.writerow([f"{y:.6g}", f"{z:.6g}",
-                                 f"{field.amplitude(y, z):.6g}"])

@@ -8,8 +8,7 @@ evaluate off-design amplitudes, spectra and filtered entanglement degrees.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +82,6 @@ class ModeContext:
             self._cache[key] = sol
         return sol
 
-    def neff(self, polarization: str, wavelength_nm: float) -> float:
-        return self.solve(polarization, wavelength_nm).n_eff
-
     def group_index(self, polarization: str, wavelength_nm: float) -> float:
         return group_index(lambda lam: self.solve(polarization, lam),
                            wavelength_nm, self.group_index_step_nm)
@@ -123,10 +119,6 @@ class DesignResult:
             self.design, self.spec, lambda_s_nm,
         )
 
-    def mismatch(self, which: str, lambda_s_nm: float) -> float:
-        amps = self.amplitudes_at(lambda_s_nm)
-        return amps.delta_k_oe if which == "oe" else amps.delta_k_eo
-
     def spectra(self, half_range_nm: float = 10.0, n_samples: int = 2001):
         """Sampled normalized spectra of both processes around the design point.
 
@@ -134,17 +126,10 @@ class DesignResult:
         """
         grid = np.linspace(self.spec.lambda_s_nm - half_range_nm,
                            self.spec.lambda_s_nm + half_range_nm, n_samples)
-        dk_oe = []
-        dk_eo = []
-        for lam in grid:
-            amps = self.amplitudes_at(float(lam))
-            dk_oe.append(amps.delta_k_oe)
-            dk_eo.append(amps.delta_k_eo)
-        half_l = 0.5 * self.spec.length_mm * 1e3
-        i_oe = np.asarray(spdc.sinc(np.array(dk_oe) * half_l)) ** 2
-        i_eo = np.asarray(spdc.sinc(np.array(dk_eo) * half_l)) ** 2
-        i_oe /= i_oe.max()
-        i_eo /= i_eo.max()
+        amps = [self.amplitudes_at(float(lam)) for lam in grid]
+        length = self.spec.length_mm
+        i_oe = spdc.spectrum([a.delta_k_oe for a in amps], length)
+        i_eo = spdc.spectrum([a.delta_k_eo for a in amps], length)
         return grid, i_oe, i_eo, spdc.fwhm(grid, i_oe), spdc.fwhm(grid, i_eo)
 
     def filtered_gamma(self, filter_fwhm_nm: float) -> float:
@@ -156,9 +141,8 @@ class DesignResult:
                                    self.bandwidth_eo_nm,
                                    conjugate_compression=compression)
 
-    def report(self, with_spectra: bool = False, half_range_nm: float = 10.0,
-               n_samples: int = 2001) -> EntanglementReport:
-        rep = EntanglementReport(
+    def report(self) -> EntanglementReport:
+        return EntanglementReport(
             gamma=self.gamma,
             bandwidth_oe_nm=self.bandwidth_oe_nm,
             bandwidth_eo_nm=self.bandwidth_eo_nm,
@@ -166,14 +150,6 @@ class DesignResult:
             grating=self.design,
             amplitudes=self.amplitudes,
         )
-        if with_spectra:
-            grid, i_oe, i_eo, f_oe, f_eo = self.spectra(half_range_nm, n_samples)
-            rep.fwhm_oe_nm = f_oe
-            rep.fwhm_eo_nm = f_eo
-            rep.spectrum_lambda_nm = tuple(float(x) for x in grid)
-            rep.spectrum_oe = tuple(float(x) for x in i_oe)
-            rep.spectrum_eo = tuple(float(x) for x in i_eo)
-        return rep
 
 
 def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,18 +121,30 @@ class PolingPattern:
         return self.initial_sign * (1 if flips % 2 == 0 else -1)
 
 
+def phase_matching_k(spec: InteractionSpec, n_p, n_s, n_i, lambda_s_nm=None):
+    """Grating frequency 2 pi (n_p/lp - n_s/ls - n_i/li) (rad/um) that
+    phase-matches one process.
+
+    The idler is slaved to ``lambda_s_nm`` (default: the design signal) by
+    energy conservation at fixed pump. Broadcasts over numpy arrays of
+    indices and signal wavelengths. The residual mismatch of a process is
+    its grating frequency minus this value.
+    """
+    ls_nm = spec.lambda_s_nm if lambda_s_nm is None else lambda_s_nm
+    li_nm = 1.0 / (1.0 / spec.lambda_p_nm - 1.0 / ls_nm)
+    return TWO_PI * (n_p / (spec.lambda_p_nm * 1e-3) - n_s / (ls_nm * 1e-3)
+                     - n_i / (li_nm * 1e-3))
+
+
 def required_frequencies(spec: InteractionSpec, n_po: float, n_so: float,
                          n_se: float, n_io: float, n_ie: float) -> tuple[float, float]:
     """QPM spatial frequencies for the two processes (rad/um).
 
-    K1 = 2 pi (n_po/lp - n_so/ls - n_ie/li) for (signal-o, idler-e);
-    K2 = 2 pi (n_po/lp - n_se/ls - n_io/li) for (signal-e, idler-o).
+    K1 phase-matches (signal-o, idler-e), K2 (signal-e, idler-o); see
+    ``phase_matching_k``.
     """
-    lp = spec.lambda_p_nm * 1e-3
-    ls = spec.lambda_s_nm * 1e-3
-    li = spec.lambda_i_nm * 1e-3
-    k1 = TWO_PI * (n_po / lp - n_so / ls - n_ie / li)
-    k2 = TWO_PI * (n_po / lp - n_se / ls - n_io / li)
+    k1 = phase_matching_k(spec, n_po, n_so, n_ie)
+    k2 = phase_matching_k(spec, n_po, n_se, n_io)
     if k1 <= 0.0 or k2 <= 0.0:
         raise NonPositiveFrequency(
             f"K1 = {k1:.6g}, K2 = {k2:.6g} rad/um: first-order QPM infeasible"
@@ -212,34 +223,6 @@ def fourier_component(pattern: PolingPattern, K: float) -> complex:
     phase = np.exp(-1j * K * edges)
     segments = signs * (phase[:-1] - phase[1:]) / (1j * K)
     return complex(np.sum(segments) / pattern.length_um)
-
-
-def phase_mismatch(spec: InteractionSpec, design: GratingDesign,
-                   neff: Callable[[str, float], float], which: str,
-                   lambda_s_nm: float) -> float:
-    """Residual mismatch Delta-k (rad/um) of one process at a signal wavelength.
-
-    Delta-k_oe = K1 - 2 pi (n_po/lp - n_so(ls)/ls - n_ie(li)/li) and
-    analogously Delta-k_eo with K2 and the swapped polarizations; the idler
-    wavelength is slaved to lambda_s by energy conservation at fixed pump.
-    ``neff`` maps (polarization, wavelength_nm) to an effective index.
-    """
-    if which not in ("oe", "eo"):
-        raise ConfigError(f"process must be 'oe' or 'eo', got {which!r}")
-    lambda_i_nm = spec.idler_for(lambda_s_nm)
-    lp = spec.lambda_p_nm * 1e-3
-    ls = lambda_s_nm * 1e-3
-    li = lambda_i_nm * 1e-3
-    n_po = neff("ordinary", spec.lambda_p_nm)
-    if which == "oe":
-        n_s = neff("ordinary", lambda_s_nm)
-        n_i = neff("extraordinary", lambda_i_nm)
-        k_target = design.K1
-    else:
-        n_s = neff("extraordinary", lambda_s_nm)
-        n_i = neff("ordinary", lambda_i_nm)
-        k_target = design.K2
-    return k_target - TWO_PI * (n_po / lp - n_s / ls - n_i / li)
 
 
 def export_pattern_csv(pattern: PolingPattern, design: GratingDesign, path) -> None:

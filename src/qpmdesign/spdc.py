@@ -15,16 +15,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DegenerateGroupIndices,
     FilterTooWide,
-    QuadratureFailure,
+    OutOfRange,
     UndefinedGamma,
 )
 from .modesolver import ModalSolution, TrialField
-from .qpm import GratingDesign, InteractionSpec
+from .qpm import GratingDesign, InteractionSpec, phase_matching_k
 
 
 def sinc(x):
@@ -56,24 +55,6 @@ def overlap_integral(pump: TrialField, a: TrialField, b: TrialField) -> float:
     return 32.0 * prod / (math.pi * math.sqrt(w * h) * math.sqrt(a_sum) * b_sum**2)
 
 
-def overlap_integral_quadrature(pump: TrialField, a: TrialField, b: TrialField,
-                                tol: float = 1e-10) -> float:
-    """Adaptive-quadrature oracle for ``overlap_integral``."""
-
-    def integrand(z: float, y: float) -> float:
-        return pump.amplitude(y, z) * a.amplitude(y, z) * b.amplitude(y, z)
-
-    ymax = 8.0 * pump.width_w / min(f.alpha_y for f in (pump, a, b))
-    zmax = 8.0 * pump.depth_h / min(f.alpha_z for f in (pump, a, b))
-    val, err = integrate.dblquad(integrand, -ymax, ymax, -zmax, 0.0,
-                                 epsabs=tol * 1e-2, epsrel=1e-12)
-    if err > tol:
-        raise QuadratureFailure(
-            f"overlap quadrature error {err:.2e} above tolerance {tol:.2e}"
-        )
-    return val
-
-
 @dataclass(frozen=True)
 class ProcessAmplitudes:
     """Relative two-photon amplitudes of the two processes.
@@ -101,15 +82,8 @@ def relative_amplitudes(po: ModalSolution, so: ModalSolution, se: ModalSolution,
     at ``lambda_s_nm`` (default: the design signal wavelength) and
     ``io``/``ie`` at the idler slaved to it by energy conservation.
     """
-    if lambda_s_nm is None:
-        lambda_s_nm = spec.lambda_s_nm
-    lambda_i_nm = spec.idler_for(lambda_s_nm)
-    lp = spec.lambda_p_nm * 1e-3
-    ls = lambda_s_nm * 1e-3
-    li = lambda_i_nm * 1e-3
-    common = 2.0 * math.pi * po.n_eff / lp
-    dk_oe = design.K1 - (common - 2.0 * math.pi * (so.n_eff / ls + ie.n_eff / li))
-    dk_eo = design.K2 - (common - 2.0 * math.pi * (se.n_eff / ls + io.n_eff / li))
+    dk_oe = design.K1 - phase_matching_k(spec, po.n_eff, so.n_eff, ie.n_eff, lambda_s_nm)
+    dk_eo = design.K2 - phase_matching_k(spec, po.n_eff, se.n_eff, io.n_eff, lambda_s_nm)
     i_oe = overlap_integral(po.field, so.field, ie.field)
     i_eo = overlap_integral(po.field, se.field, io.field)
     half_l = 0.5 * spec.length_mm * 1e3  # um
@@ -123,31 +97,6 @@ def relative_amplitudes(po: ModalSolution, so: ModalSolution, se: ModalSolution,
         delta_k_oe=dk_oe,
         delta_k_eo=dk_eo,
     )
-
-
-def amplitude_ratio_closed_form(po: ModalSolution, so: ModalSolution,
-                                se: ModalSolution, io: ModalSolution,
-                                ie: ModalSolution) -> float:
-    """C_oe/C_eo at zero mismatch directly from the variational parameters.
-
-    Equivalent to the ratio of ``relative_amplitudes`` magnitudes when both
-    processes are exactly phase-matched; kept as an independent code path.
-    """
-    num = (
-        math.sqrt(so.field.alpha_y) * so.field.alpha_z**1.5
-        * math.sqrt(ie.field.alpha_y) * ie.field.alpha_z**1.5
-        * math.sqrt(po.field.alpha_y**2 + se.field.alpha_y**2 + io.field.alpha_y**2)
-        * (po.field.alpha_z**2 + se.field.alpha_z**2 + io.field.alpha_z**2) ** 2
-        * se.n_eff * io.n_eff
-    )
-    den = (
-        math.sqrt(se.field.alpha_y) * se.field.alpha_z**1.5
-        * math.sqrt(io.field.alpha_y) * io.field.alpha_z**1.5
-        * math.sqrt(po.field.alpha_y**2 + so.field.alpha_y**2 + ie.field.alpha_y**2)
-        * (po.field.alpha_z**2 + so.field.alpha_z**2 + ie.field.alpha_z**2) ** 2
-        * so.n_eff * ie.n_eff
-    )
-    return num / den
 
 
 def gamma(amplitudes: ProcessAmplitudes) -> float:
@@ -180,16 +129,13 @@ def bandwidth_approx(N_so: float, N_se: float, N_io: float, N_ie: float,
             lambda_s_nm**2 / (length_nm * d_eo))
 
 
-def spectrum(mismatch: Callable[[float], float], length_mm: float,
-             lambda_grid_nm: Sequence[float]) -> np.ndarray:
-    """Normalized sinc^2 emission spectrum over a signal-wavelength grid.
+def spectrum(delta_k, length_mm: float) -> np.ndarray:
+    """Normalized sinc^2 emission spectrum from sampled mismatches.
 
-    ``mismatch`` maps lambda_s (nm) to Delta-k (rad/um) for the chosen
-    process; the curve is normalized to peak 1.
+    ``delta_k`` holds one process's Delta-k (rad/um) at each sampled signal
+    wavelength; the curve is normalized to peak 1.
     """
-    half_l = 0.5 * length_mm * 1e3
-    vals = np.array([sinc(mismatch(lam) * half_l) ** 2 for lam in lambda_grid_nm],
-                    dtype=float)
+    vals = sinc(np.asarray(delta_k, dtype=float) * (0.5 * length_mm * 1e3)) ** 2
     peak = vals.max()
     if peak <= 0.0:
         raise UndefinedGamma("spectrum vanishes over the requested range")
@@ -210,7 +156,10 @@ def fwhm(lambda_grid_nm: Sequence[float], intensity: Sequence[float]) -> float:
             i += step
         j = i + step
         if j < 0 or j >= len(y):
-            raise ValueError("half-maximum crossing outside the sampled range")
+            raise OutOfRange(
+                f"half-maximum crossing outside the sampled window "
+                f"[{lam[0]:.6g}, {lam[-1]:.6g}] nm; widen the window"
+            )
         frac = (y[i] - half) / (y[i] - y[j])
         return lam[i] + frac * (lam[j] - lam[i])
 
@@ -279,14 +228,9 @@ class EntanglementReport:
     bandwidth_ratio: float
     grating: GratingDesign
     amplitudes: ProcessAmplitudes
-    fwhm_oe_nm: float | None = None
-    fwhm_eo_nm: float | None = None
-    spectrum_lambda_nm: tuple[float, ...] | None = None
-    spectrum_oe: tuple[float, ...] | None = None
-    spectrum_eo: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "gamma": self.gamma,
             "bandwidth_oe_nm": self.bandwidth_oe_nm,
             "bandwidth_eo_nm": self.bandwidth_eo_nm,
@@ -309,13 +253,3 @@ class EntanglementReport:
                 "note": "shared prefactor omitted; absolute scale undefined",
             },
         }
-        if self.fwhm_oe_nm is not None:
-            d["fwhm_oe_nm"] = self.fwhm_oe_nm
-            d["fwhm_eo_nm"] = self.fwhm_eo_nm
-        if self.spectrum_lambda_nm is not None:
-            d["spectrum"] = {
-                "lambda_s_nm": list(self.spectrum_lambda_nm),
-                "intensity_oe": list(self.spectrum_oe),
-                "intensity_eo": list(self.spectrum_eo),
-            }
-        return d

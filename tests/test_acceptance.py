@@ -16,16 +16,16 @@ from qpmdesign import (
     fourier_component,
     grating_scheme_efficiency_ratio,
     neff_closed_form,
-    neff_quadrature,
     periods_from_frequencies,
     solve_mode,
     synthesize_pattern,
 )
 from qpmdesign.dispersion import index_profile
 from qpmdesign.modesolver import TrialField
-from qpmdesign.spdc import ProcessAmplitudes, amplitude_ratio_closed_form, gamma
+from qpmdesign.spdc import ProcessAmplitudes, gamma
 
 from conftest import DESIGN_TABLE
+from oracles import amplitude_ratio_closed_form, neff_quadrature
 
 
 @pytest.fixture(autouse=True)

@@ -50,10 +50,15 @@ class TestExitCodes:
         assert main(["design", "--config", cfg]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_unknown_key_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, typo_key=1.0)
+    @pytest.mark.parametrize("key, overrides", [
+        ("typo_key", {"typo_key": 1.0}),
+        ("cover_index", {"cover_index": 1.8}),
+        ("grid_points", {"solver": {"grid_points": 16}}),
+    ], ids=["typo_key", "cover_index", "solver.grid_points"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path, **overrides)
         assert main(["design", "--config", cfg]) == EXIT_CONFIG
-        assert "typo_key" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["design", "--config", "/nonexistent.json"]) == EXIT_CONFIG
@@ -123,6 +128,25 @@ class TestSpectrum:
         assert peak_oe == pytest.approx(1.0, abs=1e-6)
         assert peak_eo == pytest.approx(1.0, abs=1e-6)
         assert all(0.0 <= v[1] <= 1.0 and 0.0 <= v[2] <= 1.0 for v in values)
+
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--samples", "0"], id="samples=0"),
+        pytest.param(["--samples", "1"], id="samples=1"),
+        pytest.param(["--samples", "2"], id="samples=2"),
+        pytest.param(["--half-range-nm", "0"], id="half-range=0"),
+        pytest.param(["--half-range-nm", "-2"], id="half-range=-2"),
+        # valid arguments, but the window misses both half-maximum crossings
+        pytest.param(["--half-range-nm", "1", "--samples", "21"],
+                     id="half-range=1,samples=21"),
+    ])
+    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main(["spectrum", "--out", str(out), *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(("config error:", "error:"))
+        assert not (out / "spectrum.csv").exists()
 
 
 class TestGrating:

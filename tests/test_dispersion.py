@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpmdesign import OutOfRange, WaveguideGeometry, bulk_index, index_increment, index_profile
+from qpmdesign import OutOfRange, WaveguideGeometry, index_profile
 from qpmdesign.dispersion import DEFAULT_INCREMENTS, IndexIncrementTable, load_sellmeier_sets
 
 SETS = load_sellmeier_sets()
@@ -13,26 +13,24 @@ N_E_1550_25C = 2.1380823495927244
 
 
 def test_pinned_extraordinary_index():
-    n = bulk_index(SETS["extraordinary"], 1550.0, 25.0)
+    n = SETS["extraordinary"].index(1550.0, 25.0)
     assert 2.1 < n < 2.2
     assert n == pytest.approx(N_E_1550_25C, abs=0.0)
 
 
 def test_negative_uniaxial_ordering():
-    assert bulk_index(SETS["ordinary"], 780.0, 25.0) > bulk_index(
-        SETS["extraordinary"], 780.0, 25.0)
+    assert SETS["ordinary"].index(780.0, 25.0) > SETS["extraordinary"].index(780.0, 25.0)
 
 
 def test_normal_dispersion_locally():
-    assert bulk_index(SETS["ordinary"], 780.0, 25.0) > bulk_index(
-        SETS["ordinary"], 781.0, 25.0)
+    assert SETS["ordinary"].index(780.0, 25.0) > SETS["ordinary"].index(781.0, 25.0)
 
 
 @pytest.mark.parametrize("pol", ["ordinary", "extraordinary"])
 def test_index_physical_over_domain(pol):
     for lam in np.linspace(400.0, 2000.0, 33):
         for temp in (20.0, 25.0, 110.0, 200.0):
-            n = bulk_index(SETS[pol], lam, temp)
+            n = SETS[pol].index(lam, temp)
             assert n > 1.0
             assert math.isfinite(n)
 
@@ -41,11 +39,11 @@ def test_ordering_and_monotonicity_over_domain():
     lams = np.linspace(500.0, 1600.0, 111)
     for temp in (20.0, 25.0, 200.0):
         for pol in ("ordinary", "extraordinary"):
-            ns = [bulk_index(SETS[pol], lam, temp) for lam in lams]
+            ns = [SETS[pol].index(lam, temp) for lam in lams]
             assert all(a > b for a, b in zip(ns, ns[1:]))
         assert all(
-            bulk_index(SETS["ordinary"], lam, temp)
-            > bulk_index(SETS["extraordinary"], lam, temp)
+            SETS["ordinary"].index(lam, temp)
+            > SETS["extraordinary"].index(lam, temp)
             for lam in lams[:: 10]
         )
 
@@ -54,7 +52,7 @@ def test_ordering_and_monotonicity_over_domain():
                                       (780.0, 10.0), (780.0, 300.0)])
 def test_out_of_range(lam, temp):
     with pytest.raises(OutOfRange):
-        bulk_index(SETS["ordinary"], lam, temp)
+        SETS["ordinary"].index(lam, temp)
 
 
 TABLE = IndexIncrementTable(DEFAULT_INCREMENTS)
@@ -69,24 +67,24 @@ TABLE = IndexIncrementTable(DEFAULT_INCREMENTS)
     ("extraordinary", 1550.0, 0.0025),
 ])
 def test_increment_table_exact_rows(pol, lam, expected):
-    assert index_increment(TABLE, pol, lam) == expected
+    assert TABLE.increment(pol, lam) == expected
 
 
 def test_increment_linear_interpolation():
     mid = 0.5 * (519.0 + 780.0)
-    assert index_increment(TABLE, "ordinary", mid) == pytest.approx(
+    assert TABLE.increment("ordinary", mid) == pytest.approx(
         0.5 * (0.0038 + 0.0034), rel=1e-12)
 
 
 def test_increment_out_of_span_and_clamp():
     with pytest.raises(OutOfRange):
-        index_increment(TABLE, "ordinary", 1551.0)
+        TABLE.increment("ordinary", 1551.0)
     clamped = IndexIncrementTable(DEFAULT_INCREMENTS, extrapolation="clamp")
-    assert index_increment(clamped, "ordinary", 1551.0) == 0.0025
-    assert index_increment(clamped, "extraordinary", 400.0) == 0.0037
+    assert clamped.increment("ordinary", 1551.0) == 0.0025
+    assert clamped.increment("extraordinary", 400.0) == 0.0037
 
 
-GEOM = WaveguideGeometry(width_w=8.0, depth_h=6.0, cover_index_nc=1.0)
+GEOM = WaveguideGeometry(width_w=8.0, depth_h=6.0)
 NB, DN = 2.2, 0.003
 
 

@@ -6,13 +6,9 @@ from scipy import integrate
 
 from qpmdesign import NoGuidedMode, WaveguideGeometry, solve_mode
 from qpmdesign.dispersion import index_profile
-from qpmdesign.modesolver import (
-    TrialField,
-    export_field_map,
-    group_index,
-    neff_closed_form,
-    neff_quadrature,
-)
+from qpmdesign.modesolver import TrialField, group_index, neff_closed_form
+
+from oracles import neff_quadrature
 
 GEOM = WaveguideGeometry(10.0, 10.0)
 NB, DN, LAM = 2.2112, 0.0025, 1551.0
@@ -169,12 +165,3 @@ def test_group_index_richardson_step_halving():
     n2 = group_index(mode_at_fixed_material, 780.0, step_nm=0.1)
     assert abs(n1 - n2) < 1e-7
 
-
-def test_export_field_map(tmp_path):
-    field = TrialField(1.1, 1.2, 10.0, 10.0)
-    path = tmp_path / "field.csv"
-    export_field_map(field, path, n_points=21)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "y_um,z_um,psi"
-    assert len(lines) == 2 + 21 * 21

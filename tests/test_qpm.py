@@ -10,6 +10,7 @@ from qpmdesign import (
     NonPositiveFrequency,
     fourier_component,
     periods_from_frequencies,
+    phase_matching_k,
     required_frequencies,
     synthesize_pattern,
 )
@@ -58,6 +59,21 @@ class TestRequiredFrequencies:
         spec = InteractionSpec(519.0, 780.0)
         with pytest.raises(NonPositiveFrequency):
             required_frequencies(spec, 2.2, 2.26, 2.18, 2.21, 2.14)
+
+    def test_phase_matching_k_broadcasts_over_signal(self):
+        spec = InteractionSpec(519.0, 780.0)
+        lams = np.array([776.0, 780.0, 784.5])
+        n_s = np.array([2.261, 2.26, 2.259])
+        n_i = np.array([2.209, 2.21, 2.211])
+        batch = phase_matching_k(spec, 2.33, n_s, n_i, lams)
+        single = [phase_matching_k(spec, 2.33, s, i, lam)
+                  for s, i, lam in zip(n_s, n_i, lams)]
+        np.testing.assert_array_equal(batch, single)
+        assert batch[1] == phase_matching_k(spec, 2.33, 2.26, 2.21)
+        # idler slaved by energy conservation: 1/lp = 1/ls + 1/li
+        li_um = 1e-3 * spec.idler_for(776.0)
+        expected = TWO_PI * (2.33 / 0.519 - 2.261 / 0.776 - 2.209 / li_um)
+        assert batch[0] == pytest.approx(expected, rel=1e-14)
 
 
 class TestPeriods:

@@ -6,20 +6,21 @@ import pytest
 from qpmdesign import (
     DegenerateGroupIndices,
     FilterTooWide,
+    OutOfRange,
     UndefinedGamma,
-    amplitude_ratio_closed_form,
     bandwidth_approx,
     fwhm,
     gamma,
     grating_scheme_efficiency_ratio,
     overlap_integral,
-    overlap_integral_quadrature,
     relative_amplitudes,
     spectrum,
 )
 from qpmdesign.modesolver import TrialField
 from qpmdesign.qpm import fourier_component, periods_from_frequencies, synthesize_pattern
 from qpmdesign.spdc import ProcessAmplitudes, filtered_gamma, sinc
+
+from oracles import amplitude_ratio_closed_form, overlap_integral_quadrature
 
 
 def amps(c_oe, c_eo, dk_oe=0.0, dk_eo=0.0):
@@ -141,24 +142,33 @@ class TestSpectrum:
         length_mm = 10.0
         half_l = 0.5 * length_mm * 1e3
         grid = np.linspace(-0.1, 0.1, 4001)
-        curve = spectrum(lambda lam: slope * lam, length_mm, grid)
+        curve = spectrum(slope * grid, length_mm)
         expected = 2.0 * 1.3915574 / (slope * half_l)
         assert fwhm(grid, curve) == pytest.approx(expected, rel=1e-3)
         assert curve.max() == 1.0
 
     def test_peak_at_design(self, reference_result):
         grid = np.linspace(779.0, 781.0, 201)
-        curve = spectrum(lambda lam: reference_result.mismatch("oe", lam),
-                         reference_result.spec.length_mm, grid)
+        curve = spectrum(_delta_k_oe(reference_result, grid),
+                         reference_result.spec.length_mm)
         assert curve[100] == pytest.approx(1.0, abs=1e-6)
 
     def test_local_symmetry(self, reference_result):
         d = 0.03  # well inside the 0.29 nm width
         lam0 = reference_result.spec.lambda_s_nm
         grid = [lam0 - d, lam0, lam0 + d]
-        curve = spectrum(lambda lam: reference_result.mismatch("oe", lam),
-                         reference_result.spec.length_mm, grid)
+        curve = spectrum(_delta_k_oe(reference_result, grid),
+                         reference_result.spec.length_mm)
         assert curve[0] == pytest.approx(curve[2], rel=0.05)
+
+    def test_crossing_outside_window_names_window(self):
+        grid = np.linspace(-0.01, 0.01, 21)
+        with pytest.raises(OutOfRange, match="window"):
+            fwhm(grid, spectrum(1e-3 * grid, 10.0))
+
+
+def _delta_k_oe(result, grid):
+    return [result.amplitudes_at(float(lam)).delta_k_oe for lam in grid]
 
 
 class TestFilteredGamma:
