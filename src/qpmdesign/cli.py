@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import DesignConfig, load_config
 from .errors import (
     ConfigError,
@@ -28,6 +30,10 @@ from .qpm import export_pattern_csv, fourier_component, synthesize_pattern
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PHYSICS = 2
+
+# Fewer samples than this above half maximum and a spectrum's FWHM, found
+# by linear interpolation between samples, is flagged as under-resolved.
+MIN_SAMPLES_ABOVE_HALF = 5
 
 PHYSICS_ERRORS = (NoGuidedMode, NonPositiveFrequency, DegenerateModulation,
                   DegenerateGroupIndices)
@@ -137,10 +143,23 @@ def cmd_spectrum(cfg: DesignConfig, args) -> int:
     result = design_point(cfg.interaction(), cfg.single_geometry(),
                           cfg.material(), cfg.solver.group_index_step_nm)
     grid, i_oe, i_eo, f_oe, f_eo = result.spectra(args.half_range_nm, args.samples)
+    above = {"oe": int(np.count_nonzero(i_oe >= 0.5)),
+             "eo": int(np.count_nonzero(i_eo >= 0.5))}
+    for name, fwhm in (("oe", f_oe), ("eo", f_eo)):
+        if above[name] < MIN_SAMPLES_ABOVE_HALF:
+            # spacing 2 H / (n - 1) at most FWHM / (MIN + 1) keeps MIN samples
+            # above half maximum
+            enough = math.ceil(2.0 * args.half_range_nm
+                               * (MIN_SAMPLES_ABOVE_HALF + 1) / fwhm) + 1
+            print(f"warning: the {name} peak is under-resolved (samples above "
+                  f"half maximum: {above[name]}, want {MIN_SAMPLES_ABOVE_HALF}); "
+                  f"use --samples {enough} or more", file=sys.stderr)
     lines = [
         "# wavelengths in nm, intensities normalized to peak 1",
         f"# FWHM_oe_nm = {_fmt(f_oe)}",
         f"# FWHM_eo_nm = {_fmt(f_eo)}",
+        f"# samples_above_half_oe = {above['oe']}",
+        f"# samples_above_half_eo = {above['eo']}",
         f"# bandwidth_approx_oe_nm = {_fmt(result.bandwidth_oe_nm)}",
         f"# bandwidth_approx_eo_nm = {_fmt(result.bandwidth_eo_nm)}",
         "lambda_s_nm,intensity_oe,intensity_eo",

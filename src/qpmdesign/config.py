@@ -7,6 +7,7 @@ interaction length mm.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,11 +22,19 @@ from .pipeline import Material
 from .qpm import InteractionSpec
 
 
+def _check_number(name: str, value) -> None:
+    """ConfigError unless ``value`` is a finite int or float (bool excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class SolverSettings:
     group_index_step_nm: float = 0.1
 
     def validate(self):
+        _check_number("solver.group_index_step_nm", self.group_index_step_nm)
         if self.group_index_step_nm <= 0:
             raise ConfigError("solver.group_index_step_nm must be positive")
 
@@ -96,7 +105,29 @@ class DesignConfig:
         return [WaveguideGeometry(width_w=float(w), depth_h=float(d))
                 for d, w in pairs]
 
+    def _check_types(self):
+        for name in ("lambda_p_nm", "lambda_s_nm", "temperature_c", "length_mm"):
+            _check_number(name, getattr(self, name))
+        if self.lambda_i_nm is not None:
+            _check_number("lambda_i_nm", self.lambda_i_nm)
+        for name in ("width_um", "depth_um"):
+            value = getattr(self, name)
+            for item in value if isinstance(value, list) else [value]:
+                _check_number(name, item)
+        if self.sellmeier_file is not None and not isinstance(self.sellmeier_file, str):
+            raise ConfigError(f"sellmeier_file must be a path string, got "
+                              f"{self.sellmeier_file!r}")
+        rows = self.index_increments
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and len(row) == 3 for row in rows):
+            raise ConfigError("index_increments must be a list of "
+                              "[wavelength_nm, dn_o, dn_e] rows")
+        for row in rows:
+            for item in row:
+                _check_number("index_increments", item)
+
     def validate(self):
+        self._check_types()
         self.interaction()
         self.solver.validate()
         self.material()

@@ -11,7 +11,6 @@ temperatures in degC.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Literal
@@ -52,11 +51,15 @@ class SellmeierSet:
     wavelength_range_nm: tuple[float, float] = (400.0, 2000.0)
     temperature_range_c: tuple[float, float] = (20.0, 200.0)
 
-    def index(self, wavelength_nm: float, temperature_c: float = 25.0) -> float:
+    def index(self, wavelength_nm, temperature_c: float = 25.0):
+        """Bulk index; an array of wavelengths gives an array."""
+        lam_nm = np.asarray(wavelength_nm, dtype=float)
         lo, hi = self.wavelength_range_nm
-        if not lo <= wavelength_nm <= hi:
+        inside = (lam_nm >= lo) & (lam_nm <= hi)
+        if not np.all(inside):
             raise OutOfRange(
-                f"wavelength {wavelength_nm} nm outside validated range [{lo}, {hi}] nm"
+                f"wavelength {_first(lam_nm, inside)} nm outside validated "
+                f"range [{lo}, {hi}] nm"
             )
         tlo, thi = self.temperature_range_c
         if not tlo <= temperature_c <= thi:
@@ -64,10 +67,16 @@ class SellmeierSet:
                 f"temperature {temperature_c} C outside validated range [{tlo}, {thi}] C"
             )
         a1, a2, a3, a4, b1, b2, b3 = self.coefficients
-        lam = wavelength_nm * 1e-3  # um
+        lam = lam_nm * 1e-3  # um
         f = (temperature_c - self.t0_c) * (temperature_c + self.t0_c + self.t_offset_c)
         n2 = a1 + (a2 + b1 * f) / (lam**2 - (a3 + b2 * f) ** 2) + b3 * f - a4 * lam**2
-        return math.sqrt(n2)
+        n = np.sqrt(n2)
+        return float(n) if n.ndim == 0 else n
+
+
+def _first(values: np.ndarray, inside: np.ndarray) -> float:
+    """The first of ``values`` that lies outside (where ``inside`` is False)."""
+    return float(values[~inside].flat[0])
 
 
 def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, SellmeierSet]:
@@ -137,19 +146,25 @@ class IndexIncrementTable:
     def span_nm(self) -> tuple[float, float]:
         return self.entries[0][0], self.entries[-1][0]
 
-    def increment(self, polarization: str, wavelength_nm: float) -> float:
+    def increment(self, polarization: str, wavelength_nm):
+        """Increment by linear interpolation; an array of wavelengths gives
+        an array."""
         pol = normalize_polarization(polarization)
+        lam = np.asarray(wavelength_nm, dtype=float)
         lo, hi = self.span_nm
-        if not lo <= wavelength_nm <= hi:
+        inside = (lam >= lo) & (lam <= hi)
+        if not np.all(inside):
             if self.extrapolation == "error":
                 raise OutOfRange(
-                    f"wavelength {wavelength_nm} nm outside table span [{lo}, {hi}] nm"
+                    f"wavelength {_first(lam, inside)} nm outside table span "
+                    f"[{lo}, {hi}] nm"
                 )
-            wavelength_nm = min(max(wavelength_nm, lo), hi)
+            lam = np.clip(lam, lo, hi)
         lams = [e[0] for e in self.entries]
         col = 1 if pol == "ordinary" else 2
         vals = [e[col] for e in self.entries]
-        return float(np.interp(wavelength_nm, lams, vals))
+        out = np.interp(lam, lams, vals)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

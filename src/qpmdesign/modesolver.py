@@ -11,6 +11,13 @@ trial field degenerates into a plane wave with n_eff -> n_b. The physically
 meaningful solution is the *interior* stationary point, which is what
 ``solve_mode`` locates; if the interior maximum falls below the substrate
 index the mode is only quasi-guided and is flagged as such.
+
+``solve_mode`` seeds from a coarse grid (which also decides whether an
+interior maximum exists) and refines each seed by Newton iteration on the
+analytic stationarity equations; a seed Newton cannot settle on a concave
+interior point is refined by Nelder-Mead instead. ``solve_modes`` runs the
+same Newton iteration over arrays of wavelengths, warm-started from a known
+solution, and hands every point it cannot settle to ``solve_mode``.
 """
 
 from __future__ import annotations
@@ -25,11 +32,17 @@ from scipy import optimize
 from .dispersion import WaveguideGeometry
 from .errors import NoGuidedMode
 
-# Seed grid for the interior-maximum search: GRID_N x GRID_N points over
-# ALPHA_RANGE in both variational parameters, refined by Nelder-Mead to XATOL.
-GRID_N = 16
-ALPHA_RANGE = (0.2, 8.0)
+# Seed grids for the interior-maximum search, (points per axis, alpha range)
+# in both variational parameters; the second is tried only where the first
+# shows no peak. Newton stops once a step is below NEWTON_TOL (relative to
+# alpha) or after NEWTON_STEPS; a seed it cannot settle is refined by
+# Nelder-Mead to XATOL.
+SEED_GRIDS = ((16, (0.2, 8.0)), (64, (0.05, 12.0)))
+NEWTON_STEPS = 40
+NEWTON_TOL = 1e-13
 XATOL = 1e-9
+# A mode whose n_eff exceeds n_b by no more than this is only quasi-guided.
+GUIDED_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,6 +53,9 @@ class TrialField:
                       exp(-a_y^2 y^2 / w^2) exp(-a_z^2 z^2 / h^2)  for z < 0,
     and 0 for z >= 0. The sign is chosen so the lobe is positive. The L2 norm
     over the half-space is exactly 1 for any valid parameters.
+
+    The parameters may be arrays of one shape, one field per element, as in
+    the batches of ``solve_modes``; ``amplitude`` and ``grad`` need scalars.
     """
 
     alpha_y: float
@@ -48,7 +64,7 @@ class TrialField:
     depth_h: float
 
     def __post_init__(self):
-        if self.alpha_y <= 0 or self.alpha_z <= 0:
+        if np.any(np.asarray(self.alpha_y) <= 0) or np.any(np.asarray(self.alpha_z) <= 0):
             raise ValueError("variational parameters must be positive")
 
     @property
@@ -86,7 +102,11 @@ class TrialField:
 
 @dataclass
 class ModalSolution:
-    """Optimized mode at one (wavelength, polarization)."""
+    """Optimized mode at one (wavelength, polarization).
+
+    A batch from ``solve_modes`` holds arrays over wavelength in every
+    numeric field (and in its field's alphas).
+    """
 
     wavelength_nm: float
     polarization: str
@@ -99,8 +119,8 @@ class ModalSolution:
 
 
 def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
-                     n_b: float, delta_n: float, wavelength_nm: float):
-    """Closed-form n_eff^2 of the trial family. Broadcasts over alpha arrays.
+                     n_b, delta_n, wavelength_nm):
+    """Closed-form n_eff^2 of the trial family. Broadcasts over arrays.
 
     n_eff^2 = n_b^2 - (a_y^2 h^2 + 3 w^2 a_z^2) / (k0^2 w^2 h^2)
               + 8 n_b dn a_y a_z^3 / ((2 a_z^2 + 1)^(3/2) sqrt(2 a_y^2 + 1))
@@ -108,7 +128,7 @@ def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
     """
     ay = np.asarray(alpha_y, dtype=float)
     az = np.asarray(alpha_z, dtype=float)
-    k0 = 2.0 * math.pi / (wavelength_nm * 1e-3)  # rad/um
+    k0 = 2.0 * math.pi / (np.asarray(wavelength_nm, dtype=float) * 1e-3)  # rad/um
     kinetic = (ay**2 * depth_h**2 + 3.0 * width_w**2 * az**2) / (
         k0**2 * width_w**2 * depth_h**2
     )
@@ -120,49 +140,152 @@ def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
     return float(out) if out.ndim == 0 else out
 
 
+def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
+    """Newton iteration on the stationarity equations of the closed form.
+
+    Writing n_eff^2 = n_b^2 - c_y a_y^2 - c_z a_z^2 + c f(a_y) g(a_z) with
+    c_y = 1/(k0 w)^2, c_z = 3/(k0 h)^2, c = 8 n_b dn,
+    f = a/sqrt(2a^2+1) and g = a^3/(2a^2+1)^(3/2), the gradient and Hessian
+    follow from f' = (2a^2+1)^(-3/2), f'' = -6a (2a^2+1)^(-5/2),
+    g' = 3a^2 (2a^2+1)^(-5/2) and g'' = 6a (1-3a^2) (2a^2+1)^(-7/2).
+    Broadcasts over arrays. Returns (alpha_y, alpha_z, accepted): a point is
+    accepted when the iteration settled on a concave interior point
+    (det H > 0, H_yy < 0, both alphas above the 10 XATOL boundary cut that
+    ``solve_mode`` applies), i.e. a local maximum.
+    """
+    lam, n_b, dn, ay, az = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in
+          (wavelength_nm, n_b, delta_n, alpha_y, alpha_z)))
+    k0 = 2.0 * math.pi / (lam * 1e-3)
+    cy = 1.0 / (k0 * width_w) ** 2
+    cz = 3.0 / (k0 * depth_h) ** 2
+    c = 8.0 * n_b * dn
+    ay, az = ay.copy(), az.copy()
+
+    def derivatives():
+        sy = 2.0 * ay**2 + 1.0
+        sz = 2.0 * az**2 + 1.0
+        f = ay / np.sqrt(sy)
+        f1 = sy**-1.5
+        g = az**3 * sz**-1.5
+        g1 = 3.0 * az**2 * sz**-2.5
+        grad_y = -2.0 * cy * ay + c * f1 * g
+        grad_z = -2.0 * cz * az + c * f * g1
+        h_yy = -2.0 * cy + c * (-6.0 * ay * sy**-2.5) * g
+        h_zz = -2.0 * cz + c * f * (6.0 * az * (1.0 - 3.0 * az**2) * sz**-3.5)
+        h_yz = c * f1 * g1
+        return grad_y, grad_z, h_yy, h_zz, h_yz
+
+    with np.errstate(all="ignore"):
+        settled = np.zeros(ay.shape, dtype=bool)
+        for _ in range(NEWTON_STEPS):
+            grad_y, grad_z, h_yy, h_zz, h_yz = derivatives()
+            det = h_yy * h_zz - h_yz**2
+            step_y = (h_yz * grad_z - h_zz * grad_y) / det
+            step_z = (h_yz * grad_y - h_yy * grad_z) / det
+            ay += step_y
+            az += step_z
+            settled = ((np.abs(step_y) <= NEWTON_TOL * (1.0 + np.abs(ay)))
+                       & (np.abs(step_z) <= NEWTON_TOL * (1.0 + np.abs(az))))
+            # a point that went non-finite cannot recover; stop waiting for it
+            if np.all(settled | ~np.isfinite(ay + az)):
+                break
+        _, _, h_yy, h_zz, h_yz = derivatives()
+        accepted = (settled & (ay > 10.0 * XATOL) & (az > 10.0 * XATOL)
+                    & (h_yy * h_zz - h_yz**2 > 0.0) & (h_yy < 0.0))
+    return ay, az, accepted
+
+
+def _nelder_mead(seed, width_w, depth_h, n_b, delta_n, wavelength_nm):
+    """Nelder-Mead maximization of the closed form from one seed."""
+
+    def neg(x):
+        if x[0] <= 0.0 or x[1] <= 0.0:
+            return np.inf
+        return -neff_closed_form(x[0], x[1], width_w, depth_h, n_b, delta_n,
+                                 wavelength_nm)
+
+    res = optimize.minimize(
+        neg, seed, method="Nelder-Mead",
+        options=dict(xatol=XATOL, fatol=1e-18, maxiter=20000, maxfev=20000),
+    )
+    return res.x
+
+
+def _grid_values(n, alpha_range, width_w, depth_h, n_b, delta_n, wavelength_nm):
+    """The closed form on an n x n alpha grid, which takes the first two axes,
+    broadcast over arrays of points on the rest. Returns (grid, values)."""
+    grid = np.linspace(*alpha_range, n)
+    points = (1,) * np.ndim(wavelength_nm)
+    return grid, neff_closed_form(grid.reshape((n, 1) + points),
+                                  grid.reshape((1, n) + points),
+                                  width_w, depth_h, n_b, delta_n, wavelength_nm)
+
+
+def _strict_peaks(vals):
+    """mask[i, j, ...]: grid point (i + 1, j + 1) strictly dominates its 8
+    neighbors, which excludes the alpha -> 0 boundary ridge."""
+    n = len(vals)
+    interior = vals[1:-1, 1:-1]
+    is_peak = np.ones_like(interior, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            is_peak &= interior > vals[1 + di : n - 1 + di, 1 + dj : n - 1 + dj]
+    return is_peak
+
+
+def _has_seed(width_w, depth_h, n_b, delta_n, wavelength_nm):
+    """Whether the grid search of ``solve_mode`` finds a seed, per point of
+    1-D arrays.
+
+    The largest value off the first row and column (the alpha -> 0 edge,
+    where the boundary ridge peaks) is a peak (ties aside) when its 8
+    neighbors are off that edge too, so the full neighbor test runs only on
+    the rest.
+    """
+    found = np.zeros(len(wavelength_nm), dtype=bool)
+    for n, alpha_range in SEED_GRIDS:
+        todo = ~found
+        if not todo.any():
+            break
+        _, vals = _grid_values(n, alpha_range, width_w, depth_h, n_b[todo],
+                               delta_n[todo], wavelength_nm[todo])
+        off_edge = vals[1:, 1:].reshape((n - 1) ** 2, -1)
+        i, j = np.unravel_index(off_edge.argmax(axis=0), (n - 1, n - 1))
+        inside = (i > 0) & (i < n - 2) & (j > 0) & (j < n - 2)
+        inside[~inside] = _strict_peaks(vals[..., ~inside]).any(axis=(0, 1))
+        found[todo] = inside
+    return found
+
+
 def _interior_maximum(width_w, depth_h, n_b, delta_n, wavelength_nm):
     """Best interior local maximum of the closed form, or None.
 
-    Seeds from grid points that strictly dominate their 8 neighbors (the
-    alpha -> 0 boundary ridge is thereby excluded) and refines each seed with
-    Nelder-Mead. Falls back to a denser, wider grid before giving up.
+    Seeds from the strict peaks of the first seed grid that has any and
+    refines them by Newton, or by Nelder-Mead where Newton does not settle
+    on a maximum.
     """
-
-    def refine(seed):
-        def neg(x):
-            if x[0] <= 0.0 or x[1] <= 0.0:
-                return np.inf
-            return -neff_closed_form(x[0], x[1], width_w, depth_h, n_b, delta_n,
-                                     wavelength_nm)
-
-        res = optimize.minimize(
-            neg, seed, method="Nelder-Mead",
-            options=dict(xatol=XATOL, fatol=1e-18, maxiter=20000, maxfev=20000),
-        )
-        return res.x, -res.fun
-
-    for n, (lo, hi) in ((GRID_N, ALPHA_RANGE), (64, (0.05, 12.0))):
-        grid = np.linspace(lo, hi, n)
-        ay, az = np.meshgrid(grid, grid, indexing="ij")
-        vals = neff_closed_form(ay, az, width_w, depth_h, n_b, delta_n, wavelength_nm)
-        interior = vals[1:-1, 1:-1]
-        is_peak = np.ones_like(interior, dtype=bool)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                is_peak &= interior > vals[1 + di : n - 1 + di, 1 + dj : n - 1 + dj]
-        peaks = np.argwhere(is_peak)
-        best = None
-        for i, j in peaks:
-            x, v = refine([grid[i + 1], grid[j + 1]])
-            # discard refinements that slid onto the alpha -> 0 boundary
-            if min(x) < 10.0 * XATOL:
-                continue
-            if best is None or v > best[1]:
-                best = (x, v)
-        if best is not None:
-            return best
+    for n, alpha_range in SEED_GRIDS:
+        grid, vals = _grid_values(n, alpha_range, width_w, depth_h, n_b,
+                                  delta_n, wavelength_nm)
+        peaks = np.argwhere(_strict_peaks(vals))
+        if len(peaks) == 0:
+            continue
+        seeds = grid[peaks + 1]
+        ay, az, accepted = _newton(width_w, depth_h, n_b, delta_n, wavelength_nm,
+                                   seeds[:, 0], seeds[:, 1])
+        xs = np.stack([ay, az], axis=1)
+        for k in np.flatnonzero(~accepted):
+            xs[k] = _nelder_mead(seeds[k], width_w, depth_h, n_b, delta_n, wavelength_nm)
+        # discard refinements that slid onto the alpha -> 0 boundary
+        xs = xs[xs.min(axis=1) >= 10.0 * XATOL]
+        if len(xs):
+            vals = neff_closed_form(xs[:, 0], xs[:, 1], width_w, depth_h, n_b,
+                                    delta_n, wavelength_nm)
+            best = int(np.argmax(vals))
+            return xs[best], float(vals[best])
     return None
 
 
@@ -192,7 +315,7 @@ def solve_mode(geom: WaveguideGeometry, n_b: float, delta_n: float,
     if neff2 <= 0.0:
         raise NoGuidedMode("effective index squared non-positive at the optimum")
     n_eff = math.sqrt(neff2)
-    guided = n_eff > n_b + 1e-9
+    guided = n_eff > n_b + GUIDED_MARGIN
     if require_bound and not guided:
         raise NoGuidedMode(
             f"mode not bound at {wavelength_nm} nm: n_eff = {n_eff:.9f} "
@@ -211,17 +334,57 @@ def solve_mode(geom: WaveguideGeometry, n_b: float, delta_n: float,
     )
 
 
-def group_index(mode_at: Callable[[float], ModalSolution], wavelength_nm: float,
-                step_nm: float = 0.1) -> float:
-    """Group effective index N = n_eff - lambda dn_eff/dlambda.
+def solve_modes(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
+                alpha_y0, alpha_z0, polarization: str = "ordinary",
+                fallback: Callable[..., ModalSolution] = solve_mode) -> ModalSolution:
+    """Modes over an array of wavelengths by Newton from a warm start.
 
-    ``mode_at`` must re-solve the mode (including material dispersion of both
-    n_b and delta_n) at the requested wavelength; the derivative is a central
-    difference with step ``step_nm``, so the variational parameters are free
-    to shift with wavelength.
+    ``n_b`` and ``delta_n`` hold the material indices at each wavelength;
+    ``alpha_y0``/``alpha_z0`` (usually a solved mode's parameters) seed every
+    point. A point is kept only where Newton settles on an interior maximum
+    and ``solve_mode``'s seed grid shows a peak, its test for whether a mode
+    exists; every other point is solved alone with ``fallback``
+    (``solve_mode`` with ``require_bound=False``), so NoGuidedMode is raised
+    where the grid search finds no interior maximum. Quasi-guided points are
+    returned flagged, as by ``solve_mode(require_bound=False)``. Returns one
+    ModalSolution whose fields are 1-D arrays over wavelength.
     """
-    n0 = mode_at(wavelength_nm).n_eff
-    np_ = mode_at(wavelength_nm + step_nm).n_eff
-    nm_ = mode_at(wavelength_nm - step_nm).n_eff
-    dn_dlam = (np_ - nm_) / (2.0 * step_nm)
-    return n0 - wavelength_nm * dn_dlam
+    lam, n_b, dn = (np.array(x, dtype=float).ravel() for x in
+                    np.broadcast_arrays(wavelength_nm, n_b, delta_n))
+    w, h = geom.width_w, geom.depth_h
+    ay, az, accepted = _newton(w, h, n_b, dn, lam, alpha_y0, alpha_z0)
+    accepted &= dn > 0.0
+    # solve_mode's test for whether a mode exists
+    accepted[accepted] = _has_seed(w, h, n_b[accepted], dn[accepted], lam[accepted])
+    neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
+    accepted &= neff2 > 0.0
+    n_eff = np.sqrt(np.where(accepted, neff2, 1.0))
+    for i in np.flatnonzero(~accepted):
+        sol = fallback(geom, float(n_b[i]), float(dn[i]), float(lam[i]),
+                       polarization=polarization, require_bound=False)
+        ay[i], az[i], n_eff[i] = sol.field.alpha_y, sol.field.alpha_z, sol.n_eff
+    return ModalSolution(
+        wavelength_nm=lam,
+        polarization=polarization,
+        n_eff=n_eff,
+        n_bulk=n_b,
+        delta_n=dn,
+        field=TrialField(alpha_y=ay, alpha_z=az, width_w=w, depth_h=h),
+        guided=n_eff > n_b + GUIDED_MARGIN,
+    )
+
+
+def group_index(mode: ModalSolution, n_eff_at: Callable[[np.ndarray], np.ndarray],
+                step_nm: float = 0.1) -> float:
+    """Group effective index N = n_eff - lambda dn_eff/dlambda of ``mode``.
+
+    ``n_eff_at`` maps an array of wavelengths to the effective indices there
+    and must re-solve the mode (including material dispersion of both n_b
+    and delta_n); it is called once, with the two wavelengths of a central
+    difference of step ``step_nm`` around the mode's, so the variational
+    parameters are free to shift with wavelength.
+    """
+    lam = mode.wavelength_nm
+    n_minus, n_plus = n_eff_at(np.array([lam - step_nm, lam + step_nm]))
+    dn_dlam = (n_plus - n_minus) / (2.0 * step_nm)
+    return mode.n_eff - lam * dn_dlam

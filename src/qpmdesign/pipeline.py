@@ -1,9 +1,11 @@
 """End-to-end design pipeline: dispersion -> mode solves -> grating -> report.
 
-``ModeContext`` bundles the material model with one geometry/temperature and
-caches mode solutions per (polarization, wavelength); ``design_point`` runs
-the full chain for a single design and returns a ``DesignResult`` that can
-evaluate off-design amplitudes, spectra and filtered entanglement degrees.
+``ModeContext`` bundles the material model with one geometry/temperature:
+it solves a mode from cold at one wavelength, or tracks a solved mode over
+an array of wavelengths in one batched Newton pass. ``design_point`` runs the
+full chain for a single design and returns a ``DesignResult`` that evaluates
+off-design amplitudes, spectra and filtered entanglement degrees, each with
+one batched pass per polarization and arm. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .dispersion import (
     load_sellmeier_sets,
     normalize_polarization,
 )
-from .modesolver import ModalSolution, group_index, solve_mode
+from .modesolver import ModalSolution, group_index, solve_mode, solve_modes
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import EntanglementReport, ProcessAmplitudes
 
@@ -55,7 +57,7 @@ class Material:
 
 
 class ModeContext:
-    """Cached mode solves for one (material, geometry, temperature).
+    """Mode solves for one (material, geometry, temperature).
 
     Quasi-guided solutions (interior maximum below the substrate index) are
     accepted: near-cutoff geometries still support the interaction, and
@@ -68,23 +70,34 @@ class ModeContext:
         self.geometry = geometry
         self.temperature_c = temperature_c
         self.group_index_step_nm = group_index_step_nm
-        self._cache: dict[tuple[str, float], ModalSolution] = {}
+
+    def indices(self, polarization: str, wavelength_nm):
+        """(n_b, delta_n) at one wavelength or an array of them."""
+        n_b = self.material.sellmeier(polarization).index(wavelength_nm, self.temperature_c)
+        dn = self.material.increments.increment(polarization, wavelength_nm)
+        return n_b, dn
 
     def solve(self, polarization: str, wavelength_nm: float) -> ModalSolution:
+        """Cold-start solve at one wavelength."""
         pol = normalize_polarization(polarization)
-        key = (pol, round(wavelength_nm, 6))
-        sol = self._cache.get(key)
-        if sol is None:
-            n_b = self.material.sellmeier(pol).index(wavelength_nm, self.temperature_c)
-            dn = self.material.increments.increment(pol, wavelength_nm)
-            sol = solve_mode(self.geometry, n_b, dn, wavelength_nm,
-                             polarization=pol, require_bound=False)
-            self._cache[key] = sol
-        return sol
+        n_b, dn = self.indices(pol, wavelength_nm)
+        return solve_mode(self.geometry, n_b, dn, wavelength_nm,
+                          polarization=pol, require_bound=False)
 
-    def group_index(self, polarization: str, wavelength_nm: float) -> float:
-        return group_index(lambda lam: self.solve(polarization, lam),
-                           wavelength_nm, self.group_index_step_nm)
+    def track(self, mode: ModalSolution, wavelengths_nm) -> ModalSolution:
+        """``mode``'s polarization at an array of wavelengths, warm-started
+        from ``mode``; returns one batched ModalSolution."""
+        lam = np.asarray(wavelengths_nm, dtype=float)
+        n_b, dn = self.indices(mode.polarization, lam)
+        # solve_mode by this module's name: every scalar solve of the
+        # pipeline goes through the one lookup
+        return solve_modes(self.geometry, n_b, dn, lam, mode.field.alpha_y,
+                           mode.field.alpha_z, polarization=mode.polarization,
+                           fallback=solve_mode)
+
+    def group_index(self, mode: ModalSolution) -> float:
+        return group_index(mode, lambda lam: self.track(mode, lam).n_eff,
+                           self.group_index_step_nm)
 
 
 @dataclass
@@ -106,18 +119,24 @@ class DesignResult:
     def bandwidth_ratio(self) -> float:
         return self.bandwidth_eo_nm / self.bandwidth_oe_nm
 
-    def amplitudes_at(self, lambda_s_nm: float) -> ProcessAmplitudes:
-        """Amplitudes at an off-design signal wavelength (modes re-solved)."""
-        ctx = self.context
-        lam_i = self.spec.idler_for(lambda_s_nm)
-        return spdc.relative_amplitudes(
-            self.modes["po"],
-            ctx.solve("ordinary", lambda_s_nm),
-            ctx.solve("extraordinary", lambda_s_nm),
-            ctx.solve("ordinary", lam_i),
-            ctx.solve("extraordinary", lam_i),
-            self.design, self.spec, lambda_s_nm,
+    def amplitudes_at(self, lambda_s_nm) -> ProcessAmplitudes:
+        """Amplitudes at off-design signal wavelengths (modes re-solved).
+
+        An array of wavelengths gives amplitudes holding arrays; a scalar
+        gives plain numbers. The four signal and idler modes are tracked
+        from the design-point modes in one batched solve each.
+        """
+        lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
+        lam_i = self.spec.idler_for(lam_s)
+        ctx, m = self.context, self.modes
+        amps = spdc.relative_amplitudes(
+            m["po"], ctx.track(m["so"], lam_s), ctx.track(m["se"], lam_s),
+            ctx.track(m["io"], lam_i), ctx.track(m["ie"], lam_i),
+            self.design, self.spec, lam_s,
         )
+        if np.ndim(lambda_s_nm) == 0:
+            return ProcessAmplitudes(**{k: v.item() for k, v in vars(amps).items()})
+        return amps
 
     def spectra(self, half_range_nm: float = 10.0, n_samples: int = 2001):
         """Sampled normalized spectra of both processes around the design point.
@@ -126,10 +145,10 @@ class DesignResult:
         """
         grid = np.linspace(self.spec.lambda_s_nm - half_range_nm,
                            self.spec.lambda_s_nm + half_range_nm, n_samples)
-        amps = [self.amplitudes_at(float(lam)) for lam in grid]
+        amps = self.amplitudes_at(grid)
         length = self.spec.length_mm
-        i_oe = spdc.spectrum([a.delta_k_oe for a in amps], length)
-        i_eo = spdc.spectrum([a.delta_k_eo for a in amps], length)
+        i_oe = spdc.spectrum(amps.delta_k_oe, length)
+        i_eo = spdc.spectrum(amps.delta_k_eo, length)
         return grid, i_oe, i_eo, spdc.fwhm(grid, i_oe), spdc.fwhm(grid, i_eo)
 
     def filtered_gamma(self, filter_fwhm_nm: float) -> float:
@@ -174,10 +193,7 @@ def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
     design = periods_from_frequencies(k1, k2)
     amps = spdc.relative_amplitudes(po, so, se, io, ie, design, spec)
     g = spdc.gamma(amps)
-    n_so = ctx.group_index("ordinary", spec.lambda_s_nm)
-    n_se = ctx.group_index("extraordinary", spec.lambda_s_nm)
-    n_io = ctx.group_index("ordinary", spec.lambda_i_nm)
-    n_ie = ctx.group_index("extraordinary", spec.lambda_i_nm)
+    n_so, n_se, n_io, n_ie = (ctx.group_index(m) for m in (so, se, io, ie))
     bw_oe, bw_eo = spdc.bandwidth_approx(n_so, n_se, n_io, n_ie,
                                          spec.lambda_s_nm, spec.length_mm)
     return DesignResult(

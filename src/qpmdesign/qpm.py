@@ -67,14 +67,18 @@ class InteractionSpec:
         if not self.lambda_p_nm < self.lambda_s_nm < self.lambda_i_nm:
             raise ConfigError("expected lambda_p < lambda_s < lambda_i")
 
-    def idler_for(self, lambda_s_nm: float) -> float:
-        """Idler wavelength slaved to a signal wavelength at fixed pump."""
-        inv = 1.0 / self.lambda_p_nm - 1.0 / lambda_s_nm
-        if inv <= 0.0:
+    def idler_for(self, lambda_s_nm):
+        """Idler wavelength slaved to a signal wavelength at fixed pump.
+
+        Broadcasts over an array of signal wavelengths.
+        """
+        inv = 1.0 / self.lambda_p_nm - 1.0 / np.asarray(lambda_s_nm, dtype=float)
+        if np.any(inv <= 0.0):
             raise ConfigError(
                 f"signal {lambda_s_nm} nm incompatible with pump {self.lambda_p_nm} nm"
             )
-        return 1.0 / inv
+        out = 1.0 / inv
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ def sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def overlap_integral(pump: TrialField, a: TrialField, b: TrialField) -> float:
+def overlap_integral(pump: TrialField, a: TrialField, b: TrialField):
     """Transverse overlap iint psi_p psi_a psi_b dy dz (1/um), closed form.
 
     For three members of the trial family on the same (w, h) the integral of
@@ -42,7 +42,8 @@ def overlap_integral(pump: TrialField, a: TrialField, b: TrialField) -> float:
             / (pi sqrt(w h) sqrt(sum_j a_yj^2) (sum_j a_zj^2)^2).
 
     Positive for fundamental-mode triples (the three fields share the same
-    positive-lobe sign convention).
+    positive-lobe sign convention). Broadcasts over fields whose alphas are
+    arrays.
     """
     fields = (pump, a, b)
     w, h = pump.width_w, pump.depth_h
@@ -51,8 +52,8 @@ def overlap_integral(pump: TrialField, a: TrialField, b: TrialField) -> float:
             raise ValueError("all three fields must share the same geometry")
     a_sum = sum(f.alpha_y**2 for f in fields)
     b_sum = sum(f.alpha_z**2 for f in fields)
-    prod = math.prod(math.sqrt(f.alpha_y) * f.alpha_z**1.5 for f in fields)
-    return 32.0 * prod / (math.pi * math.sqrt(w * h) * math.sqrt(a_sum) * b_sum**2)
+    prod = math.prod(np.sqrt(f.alpha_y) * f.alpha_z**1.5 for f in fields)
+    return 32.0 * prod / (math.pi * math.sqrt(w * h) * np.sqrt(a_sum) * b_sum**2)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,9 @@ class ProcessAmplitudes:
 
     C_rel = (I / (n_s n_i)) exp(-i dk L/2) sinc(dk L/2), per process, with the
     prefactor common to both processes omitted (it cancels in every reported
-    ratio; absolute scale is undefined by construction).
+    ratio; absolute scale is undefined by construction). Every field holds
+    an array over signal wavelength when the amplitudes come from batched
+    modes.
     """
 
     I_oe_per_um: float
@@ -80,7 +83,8 @@ def relative_amplitudes(po: ModalSolution, so: ModalSolution, se: ModalSolution,
 
     The solutions must be solved at the evaluation wavelengths: ``so``/``se``
     at ``lambda_s_nm`` (default: the design signal wavelength) and
-    ``io``/``ie`` at the idler slaved to it by energy conservation.
+    ``io``/``ie`` at the idler slaved to it by energy conservation. Signal
+    and idler modes may be batches over an array of ``lambda_s_nm``.
     """
     dk_oe = design.K1 - phase_matching_k(spec, po.n_eff, so.n_eff, ie.n_eff, lambda_s_nm)
     dk_eo = design.K2 - phase_matching_k(spec, po.n_eff, se.n_eff, io.n_eff, lambda_s_nm)
@@ -92,8 +96,8 @@ def relative_amplitudes(po: ModalSolution, so: ModalSolution, se: ModalSolution,
     return ProcessAmplitudes(
         I_oe_per_um=i_oe,
         I_eo_per_um=i_eo,
-        C_oe_rel=complex(c_oe),
-        C_eo_rel=complex(c_eo),
+        C_oe_rel=c_oe,
+        C_eo_rel=c_eo,
         delta_k_oe=dk_oe,
         delta_k_eo=dk_eo,
     )
@@ -166,7 +170,7 @@ def fwhm(lambda_grid_nm: Sequence[float], intensity: Sequence[float]) -> float:
     return abs(cross(ipk, +1) - cross(ipk, -1))
 
 
-def filtered_gamma(amplitudes_at: Callable[[float], ProcessAmplitudes],
+def filtered_gamma(amplitudes_at: Callable[..., ProcessAmplitudes],
                    design_lambda_s_nm: float, filter_fwhm_nm: float,
                    bandwidth_oe_nm: float, bandwidth_eo_nm: float,
                    n_samples: int = 33,
@@ -179,9 +183,10 @@ def filtered_gamma(amplitudes_at: Callable[[float], ProcessAmplitudes],
     ``conjugate_compression = (lambda_s / lambda_i)**2``; pass 1.0 for a
     filter placed directly on the signal arm. Each process's amplitude
     magnitude is averaged over that window and gamma is the min/max ratio
-    of the averages. The filter must be narrower than the narrower process
-    bandwidth, otherwise bandwidth distinguishability is conflated and
-    FilterTooWide is raised.
+    of the averages. ``amplitudes_at`` maps a signal wavelength, or an array
+    of them, to the amplitudes there; it is called once. The filter must be
+    narrower than the narrower process bandwidth, otherwise bandwidth
+    distinguishability is conflated and FilterTooWide is raised.
     """
     narrow = min(bandwidth_oe_nm, bandwidth_eo_nm)
     if filter_fwhm_nm >= narrow:
@@ -194,14 +199,9 @@ def filtered_gamma(amplitudes_at: Callable[[float], ProcessAmplitudes],
     window = filter_fwhm_nm * conjugate_compression
     grid = np.linspace(design_lambda_s_nm - 0.5 * window,
                        design_lambda_s_nm + 0.5 * window, n_samples)
-    mags_oe = []
-    mags_eo = []
-    for lam in grid:
-        amps = amplitudes_at(float(lam))
-        mags_oe.append(abs(amps.C_oe_rel))
-        mags_eo.append(abs(amps.C_eo_rel))
-    avg_oe = float(np.trapezoid(mags_oe, grid)) / window
-    avg_eo = float(np.trapezoid(mags_eo, grid)) / window
+    amps = amplitudes_at(grid)
+    avg_oe = float(np.trapezoid(np.abs(amps.C_oe_rel), grid)) / window
+    avg_eo = float(np.trapezoid(np.abs(amps.C_eo_rel), grid)) / window
     if avg_oe == 0.0 and avg_eo == 0.0:
         raise UndefinedGamma("both filtered amplitudes vanish")
     return min(avg_oe, avg_eo) / max(avg_oe, avg_eo)

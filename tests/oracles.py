@@ -1,8 +1,10 @@
 """Independent numerical oracles for the closed forms in ``qpmdesign``.
 
 Adaptive 2-D quadrature of the variational functional and of the overlap
-integral, and the zero-mismatch amplitude ratio written directly in the
-variational parameters. They exist only to check the package's closed forms.
+integral, the zero-mismatch amplitude ratio written directly in the
+variational parameters, and a per-sample loop of cold mode solves that the
+batched spectra and filtered gamma are checked against. They exist only to
+check the package's closed forms and fast paths.
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
 from scipy import integrate
 
 from qpmdesign.errors import QuadratureFailure
 from qpmdesign.modesolver import ModalSolution, TrialField
+from qpmdesign.spdc import ProcessAmplitudes, fwhm, relative_amplitudes, spectrum
 
 
 def neff_quadrature(field: TrialField, profile: Callable[[float, float], float],
@@ -85,3 +89,46 @@ def amplitude_ratio_closed_form(po: ModalSolution, so: ModalSolution,
         * so.n_eff * ie.n_eff
     )
     return num / den
+
+
+def reference_amplitudes(result, lambda_s_nm: float) -> ProcessAmplitudes:
+    """``DesignResult.amplitudes_at`` one sample at a time: four cold
+    ``ModeContext.solve`` calls and ``relative_amplitudes``."""
+    ctx = result.context
+    lam_i = result.spec.idler_for(lambda_s_nm)
+    return relative_amplitudes(
+        result.modes["po"],
+        ctx.solve("ordinary", lambda_s_nm),
+        ctx.solve("extraordinary", lambda_s_nm),
+        ctx.solve("ordinary", lam_i),
+        ctx.solve("extraordinary", lam_i),
+        result.design, result.spec, lambda_s_nm,
+    )
+
+
+def reference_spectra(result, half_range_nm: float, n_samples: int):
+    """Per-sample reference for ``DesignResult.spectra``."""
+    lam0 = result.spec.lambda_s_nm
+    grid = np.linspace(lam0 - half_range_nm, lam0 + half_range_nm, n_samples)
+    amps = [reference_amplitudes(result, float(lam)) for lam in grid]
+    length = result.spec.length_mm
+    i_oe = spectrum([a.delta_k_oe for a in amps], length)
+    i_eo = spectrum([a.delta_k_eo for a in amps], length)
+    return grid, i_oe, i_eo, fwhm(grid, i_oe), fwhm(grid, i_eo)
+
+
+def reference_filtered_gamma(result, filter_fwhm_nm: float, n_samples: int = 33) -> float:
+    """Per-sample reference for ``DesignResult.filtered_gamma`` (filter on the
+    idler arm, mapped onto the conjugate signal window)."""
+    spec = result.spec
+    window = filter_fwhm_nm * (spec.lambda_s_nm / spec.lambda_i_nm) ** 2
+    grid = np.linspace(spec.lambda_s_nm - 0.5 * window,
+                       spec.lambda_s_nm + 0.5 * window, n_samples)
+    mags_oe, mags_eo = [], []
+    for lam in grid:
+        amps = reference_amplitudes(result, float(lam))
+        mags_oe.append(abs(amps.C_oe_rel))
+        mags_eo.append(abs(amps.C_eo_rel))
+    avg_oe = np.trapezoid(mags_oe, grid)
+    avg_eo = np.trapezoid(mags_eo, grid)
+    return float(min(avg_oe, avg_eo) / max(avg_oe, avg_eo))

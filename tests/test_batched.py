@@ -1,0 +1,146 @@
+"""The batched Newton path against the scalar reference paths.
+
+``solve_modes`` (Newton from a warm start, over arrays) against ``solve_mode``
+refined by Nelder-Mead alone; ``DesignResult.spectra`` and
+``filtered_gamma`` against a loop of cold solves per sample; and the number
+of scalar solves a spectrum request makes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpmdesign import NoGuidedMode, WaveguideGeometry, modesolver, pipeline
+from qpmdesign.pipeline import ModeContext, design_point
+
+from conftest import DESIGN_TABLE
+from oracles import reference_filtered_gamma, reference_spectra
+
+# (band in nm, design wavelength the warm start is solved at)
+BANDS = {"signal": ((770.0, 790.0), 780.0), "idler": ((1530.0, 1575.0), 1551.0)}
+
+
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("Newton did not settle; the scalar fallback was called")
+
+
+def _reject_all(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
+    ay, az = np.broadcast_arrays(np.asarray(alpha_y, dtype=float),
+                                 np.asarray(alpha_z, dtype=float))
+    return ay.copy(), az.copy(), np.zeros(ay.shape, dtype=bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth=st.floats(7.0, 14.0), width=st.floats(7.0, 14.0),
+       band=st.sampled_from(sorted(BANDS)), u=st.floats(0.0, 1.0),
+       pol=st.sampled_from(["ordinary", "extraordinary"]))
+def test_newton_matches_nelder_mead(material, depth, width, band, u, pol):
+    (lo, hi), lam0 = BANDS[band]
+    lam = lo + (hi - lo) * u
+    ctx = ModeContext(material, WaveguideGeometry(width, depth))
+    seed = ctx.solve(pol, lam0)
+    n_b, dn = ctx.indices(pol, lam)
+    batch = modesolver.solve_modes(ctx.geometry, n_b, dn, np.array([lam]),
+                                   seed.field.alpha_y, seed.field.alpha_z,
+                                   polarization=pol, fallback=_no_fallback)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modesolver, "_newton", _reject_all)
+        reference = modesolver.solve_mode(ctx.geometry, n_b, dn, lam,
+                                          polarization=pol, require_bound=False)
+    assert abs(batch.n_eff[0] - reference.n_eff) <= 1e-12
+    assert abs(batch.field.alpha_y[0] - reference.field.alpha_y) <= 1e-5
+    assert abs(batch.field.alpha_z[0] - reference.field.alpha_z) <= 1e-5
+    assert batch.guided[0] == reference.guided
+
+
+@pytest.mark.parametrize("width, depth, pol, lam", [
+    (6.0, 6.5, "extraordinary", 1570.0),
+    (10.0, 10.0, "ordinary", 1551.0),
+    (10.0, 10.0, "ordinary", 780.0),
+])
+def test_newton_accepts_only_local_maxima(material, width, depth, pol, lam):
+    """From seeds spread over the alpha plane Newton also settles on saddles
+    of the closed form; only the maxima may be accepted."""
+    n_b = material.sellmeier(pol).index(lam)
+    dn = material.increments.increment(pol, lam)
+    seeds = np.linspace(0.05, 12.0, 40)
+    ay0, az0 = (a.ravel() for a in np.meshgrid(seeds, seeds, indexing="ij"))
+    ay, az, accepted = modesolver._newton(width, depth, n_b, dn, lam, ay0, az0)
+    assert accepted.any()
+    ay, az = ay[accepted], az[accepted]
+
+    def f(dy, dz):
+        return modesolver.neff_closed_form(ay + dy, az + dz, width, depth, n_b, dn, lam)
+
+    peak = f(0.0, 0.0)
+    eps = 1e-4
+    for dy, dz in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]:
+        assert np.all(f(eps * dy, eps * dz) < peak)
+
+
+def test_scalar_amplitudes_are_one_element_of_the_batch(reference_result):
+    lams = np.array([779.5, 780.0, 780.7])
+    batch = reference_result.amplitudes_at(lams)
+    for k, lam in enumerate(lams):
+        one = reference_result.amplitudes_at(float(lam))
+        assert isinstance(one.C_oe_rel, complex) and isinstance(one.delta_k_eo, float)
+        for name, value in vars(one).items():
+            assert value == getattr(batch, name)[k]
+
+
+def test_spectra_match_per_sample_reference(reference_result):
+    grid, i_oe, i_eo, f_oe, f_eo = reference_result.spectra(10.0, 2001)
+    ref_grid, ref_oe, ref_eo, ref_f_oe, ref_f_eo = reference_spectra(
+        reference_result, 10.0, 2001)
+    np.testing.assert_array_equal(grid, ref_grid)
+    assert np.max(np.abs(i_oe - ref_oe)) <= 1e-9
+    assert np.max(np.abs(i_eo - ref_eo)) <= 1e-9
+    assert f_oe == pytest.approx(ref_f_oe, rel=1e-9, abs=0.0)
+    assert f_eo == pytest.approx(ref_f_eo, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("depth, width", [row[:2] for row in DESIGN_TABLE])
+def test_filtered_gamma_matches_per_sample_reference(table_results, depth, width):
+    result = table_results[(depth, width)]
+    assert result.filtered_gamma(0.1) == pytest.approx(
+        reference_filtered_gamma(result, 0.1), rel=1e-6, abs=0.0)
+
+
+def test_spectrum_request_solve_count(spec, material, monkeypatch):
+    """Spectra and filtered gamma make no scalar solves of their own."""
+    calls = []
+    solve_mode = pipeline.solve_mode
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return solve_mode(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_mode", counted)
+    result = design_point(spec, WaveguideGeometry(10.0, 10.0), material)
+    after_design = len(calls)
+    result.spectra(10.0, 2001)
+    result.filtered_gamma(0.1)
+    assert after_design <= 13
+    assert len(calls) == after_design
+
+
+def test_spectra_at_cutoff_still_raise(table_results):
+    # the 1592 nm idler of the +-10 nm scan has no interior maximum
+    with pytest.raises(NoGuidedMode):
+        table_results[(6.5, 6.0)].spectra()
+
+
+def test_batch_raises_where_solve_mode_finds_no_mode(table_results):
+    """Past the grid search's cutoff Newton can still settle on a shallow
+    interior maximum; the batch must raise there as the cold solve does."""
+    result = table_results[(6.5, 6.0)]
+    ctx, mode, lam = result.context, result.modes["ie"], 1585.0
+    n_b, dn = ctx.indices("extraordinary", lam)
+    *_, accepted = modesolver._newton(6.0, 6.5, n_b, dn, lam,
+                                      mode.field.alpha_y, mode.field.alpha_z)
+    assert accepted
+    with pytest.raises(NoGuidedMode):
+        ctx.solve("extraordinary", lam)
+    with pytest.raises(NoGuidedMode):
+        ctx.track(mode, [1570.0, lam])

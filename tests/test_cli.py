@@ -60,6 +60,19 @@ class TestExitCodes:
         assert main(["design", "--config", cfg]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"width_um": "abc"},
+        {"width_um": None},
+        {"lambda_p_nm": "x"},
+        {"length_mm": float("nan")},
+    ], ids=["width_um=abc", "width_um=null", "lambda_p_nm=x", "length_mm=NaN"])
+    def test_non_numeric_value_is_config_error(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["design", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert next(iter(overrides)) in err
+
     def test_missing_config_file(self, capsys):
         assert main(["design", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 
@@ -128,6 +141,28 @@ class TestSpectrum:
         assert peak_oe == pytest.approx(1.0, abs=1e-6)
         assert peak_eo == pytest.approx(1.0, abs=1e-6)
         assert all(0.0 <= v[1] <= 1.0 and 0.0 <= v[2] <= 1.0 for v in values)
+
+    def test_samples_above_half_reported(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["spectrum", "--out", str(out)]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+        comments = [l for l in (out / "spectrum.csv").read_text().splitlines()
+                    if l.startswith("# samples_above_half_")]
+        counts = dict(l[2:].split(" = ") for l in comments)
+        assert set(counts) == {"samples_above_half_oe", "samples_above_half_eo"}
+        assert all(int(n) >= 5 for n in counts.values())
+
+    def test_under_resolved_peak_warns(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["spectrum", "--out", str(out), "--half-range-nm", "4",
+                     "--samples", "41"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "warning: the oe peak" in err
+        assert "the eo peak" not in err
+        enough = int(err.split("--samples ")[1].split()[0])
+        assert main(["spectrum", "--out", str(out), "--half-range-nm", "4",
+                     "--samples", str(enough)]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("args", [
