@@ -26,7 +26,6 @@ from .modesolver import (
     group_index,
     neff_closed_form,
     solve_mode,
-    solve_modes,
 )
 from .pipeline import DesignResult, Material, ModeContext, design_point
 from .qpm import (

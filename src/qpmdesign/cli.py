@@ -140,6 +140,11 @@ def cmd_spectrum(cfg: DesignConfig, args) -> int:
     if not 0.0 < args.half_range_nm < math.inf:
         raise ConfigError(f"--half-range-nm must be positive and finite, "
                           f"got {args.half_range_nm}")
+    lower = cfg.lambda_s_nm - args.half_range_nm
+    if lower <= cfg.lambda_p_nm:
+        raise ConfigError(f"--half-range-nm {args.half_range_nm} puts the window's "
+                          f"lower edge at {lower} nm, not above the pump "
+                          f"wavelength {cfg.lambda_p_nm} nm")
     result = design_point(cfg.interaction(), cfg.single_geometry(),
                           cfg.material(), cfg.solver.group_index_step_nm)
     grid, i_oe, i_eo, f_oe, f_eo = result.spectra(args.half_range_nm, args.samples)

@@ -12,12 +12,12 @@ meaningful solution is the *interior* stationary point, which is what
 ``solve_mode`` locates; if the interior maximum falls below the substrate
 index the mode is only quasi-guided and is flagged as such.
 
-``solve_mode`` seeds from a coarse grid (which also decides whether an
-interior maximum exists) and refines each seed by Newton iteration on the
-analytic stationarity equations; a seed Newton cannot settle on a concave
-interior point is refined by Nelder-Mead instead. ``solve_modes`` runs the
-same Newton iteration over arrays of wavelengths, warm-started from a known
-solution, and hands every point it cannot settle to ``solve_mode``.
+``solve_mode`` is one batched kernel: it takes a wavelength (with its
+material indices) or arrays of them, seeds every point from the best strict
+peak of a coarse alpha grid (which also decides whether an interior maximum
+exists), refines the seeds together by Newton iteration on the analytic
+stationarity equations, and refines by Nelder-Mead only the points Newton
+cannot settle on a concave interior point.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class TrialField:
     over the half-space is exactly 1 for any valid parameters.
 
     The parameters may be arrays of one shape, one field per element, as in
-    the batches of ``solve_modes``; ``amplitude`` and ``grad`` need scalars.
+    a ``solve_mode`` over arrays; ``amplitude`` and ``grad`` need scalars.
     """
 
     alpha_y: float
@@ -104,8 +104,8 @@ class TrialField:
 class ModalSolution:
     """Optimized mode at one (wavelength, polarization).
 
-    A batch from ``solve_modes`` holds arrays over wavelength in every
-    numeric field (and in its field's alphas).
+    A ``solve_mode`` over arrays holds arrays of one shape in every numeric
+    field (and in its field's alphas).
     """
 
     wavelength_nm: float
@@ -115,7 +115,6 @@ class ModalSolution:
     delta_n: float
     field: TrialField
     guided: bool = True
-    group_index: float | None = None
 
 
 def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
@@ -213,12 +212,10 @@ def _nelder_mead(seed, width_w, depth_h, n_b, delta_n, wavelength_nm):
 
 
 def _grid_values(n, alpha_range, width_w, depth_h, n_b, delta_n, wavelength_nm):
-    """The closed form on an n x n alpha grid, which takes the first two axes,
-    broadcast over arrays of points on the rest. Returns (grid, values)."""
+    """The closed form on an n x n alpha grid (the first two axes) at each of
+    a 1-D array of points (the last axis). Returns (grid, values)."""
     grid = np.linspace(*alpha_range, n)
-    points = (1,) * np.ndim(wavelength_nm)
-    return grid, neff_closed_form(grid.reshape((n, 1) + points),
-                                  grid.reshape((1, n) + points),
+    return grid, neff_closed_form(grid[:, None, None], grid[None, :, None],
                                   width_w, depth_h, n_b, delta_n, wavelength_nm)
 
 
@@ -236,141 +233,99 @@ def _strict_peaks(vals):
     return is_peak
 
 
-def _has_seed(width_w, depth_h, n_b, delta_n, wavelength_nm):
-    """Whether the grid search of ``solve_mode`` finds a seed, per point of
-    1-D arrays.
+def _seeds(width_w, depth_h, n_b, delta_n, wavelength_nm):
+    """Best strict grid peak of the first seed grid that shows one, per point
+    of 1-D arrays. Returns (alpha_y, alpha_z, found); a point without a peak
+    on any grid has no interior maximum.
 
     The largest value off the first row and column (the alpha -> 0 edge,
-    where the boundary ridge peaks) is a peak (ties aside) when its 8
-    neighbors are off that edge too, so the full neighbor test runs only on
-    the rest.
+    where the boundary ridge peaks) is the best strict peak (ties aside)
+    when its 8 neighbors are off that edge too, so the full neighbor test
+    runs only on the rest.
     """
-    found = np.zeros(len(wavelength_nm), dtype=bool)
+    m = len(wavelength_nm)
+    ay, az = np.zeros(m), np.zeros(m)
+    found = np.zeros(m, dtype=bool)
     for n, alpha_range in SEED_GRIDS:
-        todo = ~found
-        if not todo.any():
+        todo = np.flatnonzero(~found)
+        if not todo.size:
             break
-        _, vals = _grid_values(n, alpha_range, width_w, depth_h, n_b[todo],
-                               delta_n[todo], wavelength_nm[todo])
+        grid, vals = _grid_values(n, alpha_range, width_w, depth_h, n_b[todo],
+                                  delta_n[todo], wavelength_nm[todo])
         off_edge = vals[1:, 1:].reshape((n - 1) ** 2, -1)
         i, j = np.unravel_index(off_edge.argmax(axis=0), (n - 1, n - 1))
-        inside = (i > 0) & (i < n - 2) & (j > 0) & (j < n - 2)
-        inside[~inside] = _strict_peaks(vals[..., ~inside]).any(axis=(0, 1))
-        found[todo] = inside
-    return found
+        i, j = i + 1, j + 1
+        peak = (i > 1) & (i < n - 1) & (j > 1) & (j < n - 1)
+        rest = np.flatnonzero(~peak)
+        if rest.size:
+            strict = _strict_peaks(vals[..., rest])
+            scores = np.where(strict, vals[1:-1, 1:-1, rest], -np.inf)
+            best = scores.reshape((n - 2) ** 2, -1).argmax(axis=0)
+            best_i, best_j = np.unravel_index(best, (n - 2, n - 2))
+            i[rest], j[rest] = best_i + 1, best_j + 1
+            peak[rest] = strict.any(axis=(0, 1))
+        ay[todo[peak]], az[todo[peak]] = grid[i[peak]], grid[j[peak]]
+        found[todo] = peak
+    return ay, az, found
 
 
-def _interior_maximum(width_w, depth_h, n_b, delta_n, wavelength_nm):
-    """Best interior local maximum of the closed form, or None.
-
-    Seeds from the strict peaks of the first seed grid that has any and
-    refines them by Newton, or by Nelder-Mead where Newton does not settle
-    on a maximum.
-    """
-    for n, alpha_range in SEED_GRIDS:
-        grid, vals = _grid_values(n, alpha_range, width_w, depth_h, n_b,
-                                  delta_n, wavelength_nm)
-        peaks = np.argwhere(_strict_peaks(vals))
-        if len(peaks) == 0:
-            continue
-        seeds = grid[peaks + 1]
-        ay, az, accepted = _newton(width_w, depth_h, n_b, delta_n, wavelength_nm,
-                                   seeds[:, 0], seeds[:, 1])
-        xs = np.stack([ay, az], axis=1)
-        for k in np.flatnonzero(~accepted):
-            xs[k] = _nelder_mead(seeds[k], width_w, depth_h, n_b, delta_n, wavelength_nm)
-        # discard refinements that slid onto the alpha -> 0 boundary
-        xs = xs[xs.min(axis=1) >= 10.0 * XATOL]
-        if len(xs):
-            vals = neff_closed_form(xs[:, 0], xs[:, 1], width_w, depth_h, n_b,
-                                    delta_n, wavelength_nm)
-            best = int(np.argmax(vals))
-            return xs[best], float(vals[best])
-    return None
-
-
-def solve_mode(geom: WaveguideGeometry, n_b: float, delta_n: float,
-               wavelength_nm: float, polarization: str = "ordinary",
-               require_bound: bool = True) -> ModalSolution:
+def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
+               polarization: str = "ordinary") -> ModalSolution:
     """Maximize the effective-index functional over (alpha_y, alpha_z).
 
-    Raises NoGuidedMode when no interior stationary point exists (e.g.
-    delta_n = 0), or — with ``require_bound=True`` — when the optimum fails
-    to exceed the substrate index (mode not bound). With
-    ``require_bound=False`` a quasi-guided solution is returned flagged
-    ``guided=False``; near-cutoff geometries still support the nonlinear
-    interaction through such modes.
+    ``n_b``, ``delta_n`` and ``wavelength_nm`` broadcast: scalars give a
+    ModalSolution of plain numbers, arrays one whose numeric fields (and
+    field alphas) are arrays of the broadcast shape. Every point is seeded
+    from the seed grids, all seeds are refined together by Newton, and the
+    points Newton rejects by Nelder-Mead.
+
+    Raises NoGuidedMode, naming the first such point, where no interior
+    stationary point exists (e.g. delta_n = 0) or n_eff^2 is not positive
+    there. An interior maximum that fails to exceed the substrate index is
+    returned flagged ``guided=False``: such a mode is only quasi-guided, but
+    near-cutoff geometries still support the nonlinear interaction through
+    it.
     """
-    if delta_n <= 0.0:
-        raise NoGuidedMode(
-            f"delta_n = {delta_n}: no index increment, mode cannot be guided"
-        )
-    best = _interior_maximum(geom.width_w, geom.depth_h, n_b, delta_n, wavelength_nm)
-    if best is None:
-        raise NoGuidedMode(
-            f"no interior maximum of n_eff^2 at {wavelength_nm} nm "
-            f"(w={geom.width_w} um, h={geom.depth_h} um, dn={delta_n})"
-        )
-    (ay, az), neff2 = best
-    if neff2 <= 0.0:
-        raise NoGuidedMode("effective index squared non-positive at the optimum")
-    n_eff = math.sqrt(neff2)
-    guided = n_eff > n_b + GUIDED_MARGIN
-    if require_bound and not guided:
-        raise NoGuidedMode(
-            f"mode not bound at {wavelength_nm} nm: n_eff = {n_eff:.9f} "
-            f"<= n_b = {n_b:.9f}"
-        )
-    field = TrialField(alpha_y=float(ay), alpha_z=float(az),
-                       width_w=geom.width_w, depth_h=geom.depth_h)
-    return ModalSolution(
-        wavelength_nm=wavelength_nm,
-        polarization=polarization,
-        n_eff=n_eff,
-        n_bulk=n_b,
-        delta_n=delta_n,
-        field=field,
-        guided=guided,
-    )
-
-
-def solve_modes(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
-                alpha_y0, alpha_z0, polarization: str = "ordinary",
-                fallback: Callable[..., ModalSolution] = solve_mode) -> ModalSolution:
-    """Modes over an array of wavelengths by Newton from a warm start.
-
-    ``n_b`` and ``delta_n`` hold the material indices at each wavelength;
-    ``alpha_y0``/``alpha_z0`` (usually a solved mode's parameters) seed every
-    point. A point is kept only where Newton settles on an interior maximum
-    and ``solve_mode``'s seed grid shows a peak, its test for whether a mode
-    exists; every other point is solved alone with ``fallback``
-    (``solve_mode`` with ``require_bound=False``), so NoGuidedMode is raised
-    where the grid search finds no interior maximum. Quasi-guided points are
-    returned flagged, as by ``solve_mode(require_bound=False)``. Returns one
-    ModalSolution whose fields are 1-D arrays over wavelength.
-    """
-    lam, n_b, dn = (np.array(x, dtype=float).ravel() for x in
-                    np.broadcast_arrays(wavelength_nm, n_b, delta_n))
+    lam, n_b, dn = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in
+                                         (wavelength_nm, n_b, delta_n)))
+    shape = lam.shape
+    lam, n_b, dn = lam.ravel(), n_b.ravel(), dn.ravel()
     w, h = geom.width_w, geom.depth_h
-    ay, az, accepted = _newton(w, h, n_b, dn, lam, alpha_y0, alpha_z0)
-    accepted &= dn > 0.0
-    # solve_mode's test for whether a mode exists
-    accepted[accepted] = _has_seed(w, h, n_b[accepted], dn[accepted], lam[accepted])
+
+    def fail(bad, reason):
+        k = int(np.argmax(bad))
+        raise NoGuidedMode(f"{reason} at {float(lam[k])} nm "
+                           f"(w={w} um, h={h} um, dn={float(dn[k])})")
+
+    if np.any(dn <= 0.0):
+        fail(dn <= 0.0, "no index increment")
+    seed_y, seed_z, found = _seeds(w, h, n_b, dn, lam)
+    if not found.all():
+        fail(~found, "no interior maximum of n_eff^2")
+    ay, az, accepted = _newton(w, h, n_b, dn, lam, seed_y, seed_z)
+    for k in np.flatnonzero(~accepted):
+        ay[k], az[k] = _nelder_mead((seed_y[k], seed_z[k]), w, h, n_b[k], dn[k], lam[k])
+    # a refinement that slid onto the alpha -> 0 boundary is no interior maximum
+    inside = np.minimum(ay, az) >= 10.0 * XATOL
+    if not inside.all():
+        fail(~inside, "no interior maximum of n_eff^2")
     neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
-    accepted &= neff2 > 0.0
-    n_eff = np.sqrt(np.where(accepted, neff2, 1.0))
-    for i in np.flatnonzero(~accepted):
-        sol = fallback(geom, float(n_b[i]), float(dn[i]), float(lam[i]),
-                       polarization=polarization, require_bound=False)
-        ay[i], az[i], n_eff[i] = sol.field.alpha_y, sol.field.alpha_z, sol.n_eff
+    if not np.all(neff2 > 0.0):
+        fail(~(neff2 > 0.0), "effective index squared non-positive at the optimum")
+    n_eff = np.sqrt(neff2)
+
+    def out(x):
+        x = x.reshape(shape)
+        return x.item() if x.ndim == 0 else x
+
     return ModalSolution(
-        wavelength_nm=lam,
+        wavelength_nm=out(lam),
         polarization=polarization,
-        n_eff=n_eff,
-        n_bulk=n_b,
-        delta_n=dn,
-        field=TrialField(alpha_y=ay, alpha_z=az, width_w=w, depth_h=h),
-        guided=n_eff > n_b + GUIDED_MARGIN,
+        n_eff=out(n_eff),
+        n_bulk=out(n_b),
+        delta_n=out(dn),
+        field=TrialField(alpha_y=out(ay), alpha_z=out(az), width_w=w, depth_h=h),
+        guided=out(n_eff > n_b + GUIDED_MARGIN),
     )
 
 

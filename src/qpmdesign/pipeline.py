@@ -1,11 +1,11 @@
 """End-to-end design pipeline: dispersion -> mode solves -> grating -> report.
 
-``ModeContext`` bundles the material model with one geometry/temperature:
-it solves a mode from cold at one wavelength, or tracks a solved mode over
-an array of wavelengths in one batched Newton pass. ``design_point`` runs the
-full chain for a single design and returns a ``DesignResult`` that evaluates
-off-design amplitudes, spectra and filtered entanglement degrees, each with
-one batched pass per polarization and arm. Nothing is cached.
+``ModeContext`` bundles the material model with one geometry/temperature
+and solves a mode at one wavelength or, in one batched pass, at an array of
+them. ``design_point`` runs the full chain for a single design and returns a
+``DesignResult`` that evaluates off-design amplitudes, spectra and filtered
+entanglement degrees, each with one batched solve per polarization and arm.
+Nothing is cached.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .dispersion import (
     load_sellmeier_sets,
     normalize_polarization,
 )
-from .modesolver import ModalSolution, group_index, solve_mode, solve_modes
+from .modesolver import ModalSolution, group_index, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import EntanglementReport, ProcessAmplitudes
 
@@ -77,26 +77,15 @@ class ModeContext:
         dn = self.material.increments.increment(polarization, wavelength_nm)
         return n_b, dn
 
-    def solve(self, polarization: str, wavelength_nm: float) -> ModalSolution:
-        """Cold-start solve at one wavelength."""
+    def solve(self, polarization: str, wavelength_nm) -> ModalSolution:
+        """The mode at one wavelength (plain numbers out) or at an array of
+        them (one ModalSolution of arrays)."""
         pol = normalize_polarization(polarization)
         n_b, dn = self.indices(pol, wavelength_nm)
-        return solve_mode(self.geometry, n_b, dn, wavelength_nm,
-                          polarization=pol, require_bound=False)
-
-    def track(self, mode: ModalSolution, wavelengths_nm) -> ModalSolution:
-        """``mode``'s polarization at an array of wavelengths, warm-started
-        from ``mode``; returns one batched ModalSolution."""
-        lam = np.asarray(wavelengths_nm, dtype=float)
-        n_b, dn = self.indices(mode.polarization, lam)
-        # solve_mode by this module's name: every scalar solve of the
-        # pipeline goes through the one lookup
-        return solve_modes(self.geometry, n_b, dn, lam, mode.field.alpha_y,
-                           mode.field.alpha_z, polarization=mode.polarization,
-                           fallback=solve_mode)
+        return solve_mode(self.geometry, n_b, dn, wavelength_nm, polarization=pol)
 
     def group_index(self, mode: ModalSolution) -> float:
-        return group_index(mode, lambda lam: self.track(mode, lam).n_eff,
+        return group_index(mode, lambda lam: self.solve(mode.polarization, lam).n_eff,
                            self.group_index_step_nm)
 
 
@@ -123,15 +112,16 @@ class DesignResult:
         """Amplitudes at off-design signal wavelengths (modes re-solved).
 
         An array of wavelengths gives amplitudes holding arrays; a scalar
-        gives plain numbers. The four signal and idler modes are tracked
-        from the design-point modes in one batched solve each.
+        gives plain numbers. The four signal and idler modes are solved in
+        one batched call each.
         """
         lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
         lam_i = self.spec.idler_for(lam_s)
-        ctx, m = self.context, self.modes
+        ctx = self.context
         amps = spdc.relative_amplitudes(
-            m["po"], ctx.track(m["so"], lam_s), ctx.track(m["se"], lam_s),
-            ctx.track(m["io"], lam_i), ctx.track(m["ie"], lam_i),
+            self.modes["po"],
+            ctx.solve("ordinary", lam_s), ctx.solve("extraordinary", lam_s),
+            ctx.solve("ordinary", lam_i), ctx.solve("extraordinary", lam_i),
             self.design, self.spec, lam_s,
         )
         if np.ndim(lambda_s_nm) == 0:

@@ -29,6 +29,8 @@ TWO_PI = 2.0 * math.pi
 # Relative tolerance for snapping a user-supplied idler wavelength onto the
 # energy-conservation curve; larger discrepancies are treated as config errors.
 ENERGY_SNAP_RTOL = 1e-4
+# Flips of the two square waves closer than this (um) coincide and cancel.
+COINCIDENCE_TOL_UM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,12 +74,14 @@ class InteractionSpec:
 
         Broadcasts over an array of signal wavelengths.
         """
-        inv = 1.0 / self.lambda_p_nm - 1.0 / np.asarray(lambda_s_nm, dtype=float)
-        if np.any(inv <= 0.0):
+        lam_s = np.asarray(lambda_s_nm, dtype=float)
+        bad = ~(lam_s > self.lambda_p_nm)
+        if np.any(bad):
             raise ConfigError(
-                f"signal {lambda_s_nm} nm incompatible with pump {self.lambda_p_nm} nm"
+                f"signal {float(lam_s[bad].flat[0])} nm incompatible with pump "
+                f"{self.lambda_p_nm} nm: the signal must be longer than the pump"
             )
-        out = 1.0 / inv
+        out = 1.0 / (1.0 / self.lambda_p_nm - 1.0 / lam_s)
         return float(out) if out.ndim == 0 else out
 
 
@@ -180,12 +184,11 @@ def periods_from_frequencies(K1: float, K2: float) -> GratingDesign:
     )
 
 
-def synthesize_pattern(design: GratingDesign, length_mm: float,
-                       coincidence_tol_um: float = 1e-9) -> PolingPattern:
+def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern:
     """Sign pattern of the product of the two 50%-duty square waves.
 
     Each square wave flips at integer multiples of its half period; a
-    coincident flip of both waves (within ``coincidence_tol_um``) leaves the
+    coincident flip of both waves (within COINCIDENCE_TOL_UM) leaves the
     product sign unchanged and is dropped.
     """
     length_um = length_mm * 1e3
@@ -201,11 +204,11 @@ def synthesize_pattern(design: GratingDesign, length_mm: float,
     merged = np.sort(np.concatenate([flips0, flipsp]))
     # a flip at (or within tolerance of) the end facet has no effect;
     # np.arange can also emit the stop value itself through rounding
-    merged = merged[merged < length_um - coincidence_tol_um]
+    merged = merged[merged < length_um - COINCIDENCE_TOL_UM]
     boundaries: list[float] = []
     i = 0
     while i < len(merged):
-        if i + 1 < len(merged) and merged[i + 1] - merged[i] <= coincidence_tol_um:
+        if i + 1 < len(merged) and merged[i + 1] - merged[i] <= COINCIDENCE_TOL_UM:
             i += 2  # simultaneous flip of both waves: sign unchanged
         else:
             boundaries.append(float(merged[i]))

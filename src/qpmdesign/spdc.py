@@ -25,6 +25,9 @@ from .errors import (
 from .modesolver import ModalSolution, TrialField
 from .qpm import GratingDesign, InteractionSpec, phase_matching_k
 
+# Samples of the filter window that filtered_gamma averages over.
+FILTER_SAMPLES = 33
+
 
 def sinc(x):
     """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
@@ -173,7 +176,6 @@ def fwhm(lambda_grid_nm: Sequence[float], intensity: Sequence[float]) -> float:
 def filtered_gamma(amplitudes_at: Callable[..., ProcessAmplitudes],
                    design_lambda_s_nm: float, filter_fwhm_nm: float,
                    bandwidth_oe_nm: float, bandwidth_eo_nm: float,
-                   n_samples: int = 33,
                    conjugate_compression: float = 1.0) -> float:
     """Entanglement degree after a rectangular bandpass filter.
 
@@ -198,7 +200,7 @@ def filtered_gamma(amplitudes_at: Callable[..., ProcessAmplitudes],
         return gamma(amplitudes_at(design_lambda_s_nm))
     window = filter_fwhm_nm * conjugate_compression
     grid = np.linspace(design_lambda_s_nm - 0.5 * window,
-                       design_lambda_s_nm + 0.5 * window, n_samples)
+                       design_lambda_s_nm + 0.5 * window, FILTER_SAMPLES)
     amps = amplitudes_at(grid)
     avg_oe = float(np.trapezoid(np.abs(amps.C_oe_rel), grid)) / window
     avg_eo = float(np.trapezoid(np.abs(amps.C_eo_rel), grid)) / window

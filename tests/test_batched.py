@@ -1,28 +1,31 @@
-"""The batched Newton path against the scalar reference paths.
+"""The batched mode solve against the scalar reference paths.
 
-``solve_modes`` (Newton from a warm start, over arrays) against ``solve_mode``
-refined by Nelder-Mead alone; ``DesignResult.spectra`` and
-``filtered_gamma`` against a loop of cold solves per sample; and the number
-of scalar solves a spectrum request makes.
+``solve_mode`` over arrays against element-wise scalar ``solve_mode``;
+Newton refinement against Nelder-Mead refinement alone;
+``DesignResult.spectra`` and ``filtered_gamma`` against a loop of scalar
+solves per sample; and the number of solves a spectrum request makes.
 """
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpmdesign import NoGuidedMode, WaveguideGeometry, modesolver, pipeline
+from qpmdesign import NoGuidedMode, WaveguideGeometry, modesolver, pipeline, spdc
 from qpmdesign.pipeline import ModeContext, design_point
 
 from conftest import DESIGN_TABLE
 from oracles import reference_filtered_gamma, reference_spectra
 
-# (band in nm, design wavelength the warm start is solved at)
-BANDS = {"signal": ((770.0, 790.0), 780.0), "idler": ((1530.0, 1575.0), 1551.0)}
+# signal and idler bands (nm) of the differential tests
+BANDS = {"signal": (770.0, 790.0), "idler": (1530.0, 1575.0)}
+WIDE_BANDS = {"signal": (770.0, 790.0), "idler": (1530.0, 1600.0)}
 
 
-def _no_fallback(*args, **kwargs):
-    raise AssertionError("Newton did not settle; the scalar fallback was called")
+def _no_nelder_mead(*args, **kwargs):
+    raise AssertionError("Newton did not settle; Nelder-Mead was called")
 
 
 def _reject_all(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
@@ -31,23 +34,49 @@ def _reject_all(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z)
     return ay.copy(), az.copy(), np.zeros(ay.shape, dtype=bool)
 
 
+@settings(max_examples=60, deadline=None)
+@given(depth=st.floats(3.0, 14.0), width=st.floats(3.0, 14.0),
+       points=st.lists(st.tuples(st.sampled_from(sorted(WIDE_BANDS.values())),
+                                 st.floats(0.0, 1.0)), min_size=1, max_size=8),
+       pol=st.sampled_from(["ordinary", "extraordinary"]))
+def test_array_solve_matches_scalar_solves(material, depth, width, points, pol):
+    """An array solve is the element-wise scalar solves, and raises
+    NoGuidedMode, naming the first such wavelength, exactly when one does."""
+    lams = np.array([lo + (hi - lo) * u for (lo, hi), u in points])
+    ctx = ModeContext(material, WaveguideGeometry(width, depth))
+    scalars = []
+    for lam in lams:
+        try:
+            scalars.append(ctx.solve(pol, float(lam)))
+        except NoGuidedMode:
+            scalars.append(None)
+    if None in scalars:
+        first = float(lams[scalars.index(None)])
+        with pytest.raises(NoGuidedMode, match=re.escape(f" at {first} nm ")):
+            ctx.solve(pol, lams)
+        return
+    batch = ctx.solve(pol, lams)
+    for k, one in enumerate(scalars):
+        assert abs(batch.n_eff[k] - one.n_eff) <= 1e-13
+        assert abs(batch.field.alpha_y[k] - one.field.alpha_y) <= 1e-9
+        assert abs(batch.field.alpha_z[k] - one.field.alpha_z) <= 1e-9
+        assert batch.guided[k] == one.guided
+
+
 @settings(max_examples=40, deadline=None)
 @given(depth=st.floats(7.0, 14.0), width=st.floats(7.0, 14.0),
        band=st.sampled_from(sorted(BANDS)), u=st.floats(0.0, 1.0),
        pol=st.sampled_from(["ordinary", "extraordinary"]))
 def test_newton_matches_nelder_mead(material, depth, width, band, u, pol):
-    (lo, hi), lam0 = BANDS[band]
+    lo, hi = BANDS[band]
     lam = lo + (hi - lo) * u
     ctx = ModeContext(material, WaveguideGeometry(width, depth))
-    seed = ctx.solve(pol, lam0)
-    n_b, dn = ctx.indices(pol, lam)
-    batch = modesolver.solve_modes(ctx.geometry, n_b, dn, np.array([lam]),
-                                   seed.field.alpha_y, seed.field.alpha_z,
-                                   polarization=pol, fallback=_no_fallback)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modesolver, "_nelder_mead", _no_nelder_mead)
+        batch = ctx.solve(pol, np.array([lam]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modesolver, "_newton", _reject_all)
-        reference = modesolver.solve_mode(ctx.geometry, n_b, dn, lam,
-                                          polarization=pol, require_bound=False)
+        reference = ctx.solve(pol, lam)
     assert abs(batch.n_eff[0] - reference.n_eff) <= 1e-12
     assert abs(batch.field.alpha_y[0] - reference.field.alpha_y) <= 1e-5
     assert abs(batch.field.alpha_z[0] - reference.field.alpha_z) <= 1e-5
@@ -108,21 +137,22 @@ def test_filtered_gamma_matches_per_sample_reference(table_results, depth, width
 
 
 def test_spectrum_request_solve_count(spec, material, monkeypatch):
-    """Spectra and filtered gamma make no scalar solves of their own."""
-    calls = []
+    """Spectra and filtered gamma solve each of their four modes in one
+    call over all samples."""
+    sizes = []
     solve_mode = pipeline.solve_mode
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        sizes.append(np.size(args[3]))
         return solve_mode(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "solve_mode", counted)
     result = design_point(spec, WaveguideGeometry(10.0, 10.0), material)
-    after_design = len(calls)
+    after_design = len(sizes)
     result.spectra(10.0, 2001)
     result.filtered_gamma(0.1)
     assert after_design <= 13
-    assert len(calls) == after_design
+    assert sizes[after_design:] == [2001] * 4 + [spdc.FILTER_SAMPLES] * 4
 
 
 def test_spectra_at_cutoff_still_raise(table_results):
@@ -143,4 +173,4 @@ def test_batch_raises_where_solve_mode_finds_no_mode(table_results):
     with pytest.raises(NoGuidedMode):
         ctx.solve("extraordinary", lam)
     with pytest.raises(NoGuidedMode):
-        ctx.track(mode, [1570.0, lam])
+        ctx.solve("extraordinary", [1570.0, lam])

@@ -174,12 +174,17 @@ class TestSpectrum:
         # valid arguments, but the window misses both half-maximum crossings
         pytest.param(["--half-range-nm", "1", "--samples", "21"],
                      id="half-range=1,samples=21"),
+        # the window reaches down to or past the pump wavelength
+        pytest.param(["--half-range-nm", "1000"], id="half-range=1000"),
+        pytest.param(["--half-range-nm", "300", "--samples", "11"],
+                     id="half-range=300,samples=11"),
     ])
-    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, args):
+    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, recwarn, args):
         out = tmp_path / "run"
         assert main(["spectrum", "--out", str(out), *args]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert "Warning" not in err and not recwarn.list
         assert err.startswith(("config error:", "error:"))
         assert not (out / "spectrum.csv").exists()
 

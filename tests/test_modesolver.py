@@ -94,13 +94,13 @@ def test_trial_field_vanishes_in_cover():
 
 
 def test_solve_mode_bracket():
-    sol = solve_mode(GEOM, NB, DN, LAM, require_bound=False)
+    sol = solve_mode(GEOM, NB, DN, LAM)
     assert NB < sol.n_eff < NB + 0.005
     assert sol.guided
 
 
 def test_solve_mode_stationarity():
-    sol = solve_mode(GEOM, NB, DN, LAM, require_bound=False)
+    sol = solve_mode(GEOM, NB, DN, LAM)
     ay, az = sol.field.alpha_y, sol.field.alpha_z
     eps = 1e-6
     gy = (neff_closed_form(ay + eps, az, 10, 10, NB, DN, LAM)
@@ -121,7 +121,7 @@ def test_tiny_geometry_raises():
 
 
 def test_variational_bound():
-    sol = solve_mode(GEOM, NB, DN, LAM, require_bound=False)
+    sol = solve_mode(GEOM, NB, DN, LAM)
     best = sol.n_eff**2
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -130,22 +130,22 @@ def test_variational_bound():
 
 
 def test_scaling_invariance():
-    sol1 = solve_mode(GEOM, NB, DN, LAM, require_bound=False)
+    sol1 = solve_mode(GEOM, NB, DN, LAM)
     scaled = WaveguideGeometry(2 * GEOM.width_w, 2 * GEOM.depth_h)
-    sol2 = solve_mode(scaled, NB, DN, 2 * LAM, require_bound=False)
+    sol2 = solve_mode(scaled, NB, DN, 2 * LAM)
     assert sol2.field.alpha_y == pytest.approx(sol1.field.alpha_y, abs=1e-6)
     assert sol2.field.alpha_z == pytest.approx(sol1.field.alpha_z, abs=1e-6)
 
 
 def test_monotone_in_increment():
-    lo = solve_mode(GEOM, NB, 0.002, LAM, require_bound=False)
-    hi = solve_mode(GEOM, NB, 0.003, LAM, require_bound=False)
+    lo = solve_mode(GEOM, NB, 0.002, LAM)
+    hi = solve_mode(GEOM, NB, 0.003, LAM)
     assert hi.n_eff > lo.n_eff
 
 
 def n_eff_at_fixed_material(lams):
     # frozen n_b and dn: tests only the differentiation machinery
-    return np.array([solve_mode(GEOM, NB, 0.0030, lam, require_bound=False).n_eff
+    return np.array([solve_mode(GEOM, NB, 0.0030, lam).n_eff
                      for lam in lams])
 
 
@@ -155,7 +155,7 @@ def test_group_index_exceeds_phase_index(material):
     def mode_at(lam):
         n_b = material.extraordinary.index(lam, 25.0)
         dn = material.increments.increment("extraordinary", lam)
-        return solve_mode(geom, n_b, dn, lam, require_bound=False)
+        return solve_mode(geom, n_b, dn, lam)
 
     mode = mode_at(780.0)
     n_group = group_index(mode, lambda lams: np.array([mode_at(l).n_eff for l in lams]))
@@ -163,7 +163,7 @@ def test_group_index_exceeds_phase_index(material):
 
 
 def test_group_index_richardson_step_halving():
-    mode = solve_mode(GEOM, NB, 0.0030, 780.0, require_bound=False)
+    mode = solve_mode(GEOM, NB, 0.0030, 780.0)
     n1 = group_index(mode, n_eff_at_fixed_material, step_nm=0.2)
     n2 = group_index(mode, n_eff_at_fixed_material, step_nm=0.1)
     assert abs(n1 - n2) < 1e-7

@@ -48,6 +48,12 @@ class TestInteractionSpec:
         li = spec.idler_for(770.0)
         assert 1.0 / spec.lambda_p_nm == pytest.approx(1.0 / 770.0 + 1.0 / li, rel=1e-12)
 
+    def test_idler_for_names_first_bad_signal(self):
+        spec = InteractionSpec(519.0, 780.0)
+        with pytest.raises(ConfigError, match=r"^signal 500\.0 nm incompatible") as info:
+            spec.idler_for(np.array([700.0, 500.0, 0.0, -20.0]))
+        assert "[" not in str(info.value)
+
 
 class TestRequiredFrequencies:
     def test_isotropic_symmetry(self):
