@@ -39,7 +39,6 @@ from .qpm import (
     synthesize_pattern,
 )
 from .spdc import (
-    EntanglementReport,
     ProcessAmplitudes,
     bandwidth_approx,
     filtered_gamma,

@@ -24,7 +24,7 @@ from .errors import (
     NonPositiveFrequency,
     QpmDesignError,
 )
-from .pipeline import design_point
+from .pipeline import Material, design_point
 from .qpm import export_pattern_csv, fourier_component, synthesize_pattern
 
 EXIT_OK = 0
@@ -80,15 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: DesignConfig, args) -> DesignConfig:
-    if args.temperature is not None:
-        cfg.temperature_c = args.temperature
-    if args.length_mm is not None:
-        cfg.length_mm = args.length_mm
-    cfg.validate()
-    return cfg
-
-
 def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
@@ -99,10 +90,9 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
         print(f"wrote {path / filename}")
 
 
-def cmd_design(cfg: DesignConfig, args) -> int:
-    result = design_point(cfg.interaction(), cfg.single_geometry(),
-                          cfg.material(), cfg.solver.group_index_step_nm)
-    doc = result.report().to_dict()
+def cmd_design(cfg: DesignConfig, material: Material, args) -> int:
+    result = design_point(cfg.interaction(), cfg.single_geometry(), material)
+    doc = result.to_dict()
     doc["geometry"] = {"width_um": cfg.width_um, "depth_um": cfg.depth_um}
     doc["units"] = {"wavelength": "nm", "geometry": "um", "period": "um",
                     "temperature": "degC", "length": "mm"}
@@ -110,9 +100,8 @@ def cmd_design(cfg: DesignConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: DesignConfig, args) -> int:
+def cmd_sweep(cfg: DesignConfig, material: Material, args) -> int:
     spec = cfg.interaction()
-    material = cfg.material()
     lines = [
         "# geometry in um, periods in um, temperature "
         f"{cfg.temperature_c} degC, length {cfg.length_mm} mm",
@@ -121,8 +110,7 @@ def cmd_sweep(cfg: DesignConfig, args) -> int:
     for geom in cfg.sweep_geometries():
         prefix = f"{_fmt(geom.depth_h)},{_fmt(geom.width_w)}"
         try:
-            result = design_point(spec, geom, material,
-                                  cfg.solver.group_index_step_nm)
+            result = design_point(spec, geom, material)
         except PHYSICS_ERRORS as exc:
             lines.append(f"{prefix},,,,{type(exc).__name__}")
             continue
@@ -134,7 +122,7 @@ def cmd_sweep(cfg: DesignConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: DesignConfig, args) -> int:
+def cmd_spectrum(cfg: DesignConfig, material: Material, args) -> int:
     if args.samples < 3:
         raise ConfigError(f"--samples must be at least 3, got {args.samples}")
     if not 0.0 < args.half_range_nm < math.inf:
@@ -145,8 +133,7 @@ def cmd_spectrum(cfg: DesignConfig, args) -> int:
         raise ConfigError(f"--half-range-nm {args.half_range_nm} puts the window's "
                           f"lower edge at {lower} nm, not above the pump "
                           f"wavelength {cfg.lambda_p_nm} nm")
-    result = design_point(cfg.interaction(), cfg.single_geometry(),
-                          cfg.material(), cfg.solver.group_index_step_nm)
+    result = design_point(cfg.interaction(), cfg.single_geometry(), material)
     grid, i_oe, i_eo, f_oe, f_eo = result.spectra(args.half_range_nm, args.samples)
     above = {"oe": int(np.count_nonzero(i_oe >= 0.5)),
              "eo": int(np.count_nonzero(i_eo >= 0.5))}
@@ -175,9 +162,8 @@ def cmd_spectrum(cfg: DesignConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_grating(cfg: DesignConfig, args) -> int:
-    result = design_point(cfg.interaction(), cfg.single_geometry(),
-                          cfg.material(), cfg.solver.group_index_step_nm)
+def cmd_grating(cfg: DesignConfig, material: Material, args) -> int:
+    result = design_point(cfg.interaction(), cfg.single_geometry(), material)
     design = result.design
     pattern = synthesize_pattern(design, cfg.length_mm)
     c1 = fourier_component(pattern, design.K1)
@@ -212,8 +198,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        overrides = {key: value for key, value in (("temperature_c", args.temperature),
+                                                   ("length_mm", args.length_mm))
+                     if value is not None}
+        cfg = load_config(args.config, **overrides)
+        material = cfg.material()  # before --dump-config, so a bad table exits 1
         if args.dump_config:
             sys.stdout.write(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
             return EXIT_OK
@@ -223,7 +212,7 @@ def main(argv=None) -> int:
             "spectrum": cmd_spectrum,
             "grating": cmd_grating,
         }[args.command]
-        return handler(cfg, args)
+        return handler(cfg, material, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

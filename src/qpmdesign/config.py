@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .dispersion import (
@@ -30,16 +30,6 @@ def _check_number(name: str, value) -> None:
 
 
 @dataclass
-class SolverSettings:
-    group_index_step_nm: float = 0.1
-
-    def validate(self):
-        _check_number("solver.group_index_step_nm", self.group_index_step_nm)
-        if self.group_index_step_nm <= 0:
-            raise ConfigError("solver.group_index_step_nm must be positive")
-
-
-@dataclass
 class DesignConfig:
     """Everything one invocation needs.
 
@@ -58,7 +48,6 @@ class DesignConfig:
     index_increments: list[list[float]] = field(
         default_factory=lambda: [list(row) for row in DEFAULT_INCREMENTS]
     )
-    solver: SolverSettings = field(default_factory=SolverSettings)
 
     @property
     def is_sweep(self) -> bool:
@@ -81,7 +70,7 @@ class DesignConfig:
     def material(self) -> Material:
         sets = load_sellmeier_sets(self.sellmeier_file)
         entries = tuple(tuple(float(v) for v in row) for row in self.index_increments)
-        table = IndexIncrementTable(entries, extrapolation="clamp")
+        table = IndexIncrementTable(entries)
         return Material(ordinary=sets["ordinary"],
                         extraordinary=sets["extraordinary"], increments=table)
 
@@ -127,59 +116,38 @@ class DesignConfig:
                 _check_number("index_increments", item)
 
     def validate(self):
+        """Check types, the interaction and every geometry. The material
+        (Sellmeier file, increment table) is checked by building it with
+        ``material()``."""
         self._check_types()
         self.interaction()
-        self.solver.validate()
-        self.material()
         self.sweep_geometries()  # WaveguideGeometry validates each geometry
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "lambda_p_nm": self.lambda_p_nm,
-            "lambda_s_nm": self.lambda_s_nm,
-            "lambda_i_nm": self.lambda_i_nm,
-            "temperature_c": self.temperature_c,
-            "length_mm": self.length_mm,
-            "width_um": self.width_um,
-            "depth_um": self.depth_um,
-            "sellmeier_file": self.sellmeier_file,
-            "index_increments": self.index_increments,
-            "solver": {"group_index_step_nm": self.solver.group_index_step_nm},
-        }
+        return asdict(self)
 
 
 def config_from_dict(doc: dict[str, Any]) -> DesignConfig:
-    known = {
-        "lambda_p_nm", "lambda_s_nm", "lambda_i_nm", "temperature_c",
-        "length_mm", "width_um", "depth_um", "sellmeier_file",
-        "index_increments", "solver",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(DesignConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    solver_doc = doc.pop("solver", {})
-    try:
-        solver = SolverSettings(**solver_doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad solver settings: {exc}") from exc
-    cfg = DesignConfig(**doc, solver=solver)
+    cfg = DesignConfig(**doc)
     cfg.validate()
     return cfg
 
 
-def load_config(path: str | None) -> DesignConfig:
-    """Load a config JSON; None yields the default design point."""
-    if path is None:
-        cfg = DesignConfig()
-        cfg.validate()
-        return cfg
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return config_from_dict(doc)
+def load_config(path: str | None = None, **overrides) -> DesignConfig:
+    """Load a config JSON (None: the default design point), replace the
+    fields named in ``overrides`` and validate the result once."""
+    doc: dict[str, Any] = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("config root must be a JSON object")
+    return config_from_dict({**doc, **overrides})

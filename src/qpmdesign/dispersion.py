@@ -58,7 +58,7 @@ class SellmeierSet:
         inside = (lam_nm >= lo) & (lam_nm <= hi)
         if not np.all(inside):
             raise OutOfRange(
-                f"wavelength {_first(lam_nm, inside)} nm outside validated "
+                f"wavelength {float(lam_nm[~inside].flat[0])} nm outside validated "
                 f"range [{lo}, {hi}] nm"
             )
         tlo, thi = self.temperature_range_c
@@ -74,36 +74,43 @@ class SellmeierSet:
         return float(n) if n.ndim == 0 else n
 
 
-def _first(values: np.ndarray, inside: np.ndarray) -> float:
-    """The first of ``values`` that lies outside (where ``inside`` is False)."""
-    return float(values[~inside].flat[0])
-
-
 def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, SellmeierSet]:
     """Load the two polarization sets from a JSON data file.
 
     With no path, the packaged congruent-LiNbO3 fit is used. The file layout
-    is documented by the packaged ``data/linbo3_sellmeier.json``.
+    is documented by the packaged ``data/linbo3_sellmeier.json``. A file
+    that cannot be read, is not JSON or lacks a key is a ConfigError.
     """
-    if path is None:
-        raw = resources.files("qpmdesign.data").joinpath("linbo3_sellmeier.json").read_text()
-    else:
-        with open(path) as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
-    out: dict[Polarization, SellmeierSet] = {}
-    for pol, entry in doc["sets"].items():
-        pol = normalize_polarization(pol)
-        out[pol] = SellmeierSet(
-            polarization=pol,
-            coefficients=tuple(entry["coefficients"]),
-            t0_c=doc["t0_c"],
-            t_offset_c=doc["t_offset_c"],
-            wavelength_range_nm=tuple(doc["wavelength_range_nm"]),
-            temperature_range_c=tuple(doc["temperature_range_c"]),
-        )
+    try:
+        if path is None:
+            raw = resources.files("qpmdesign.data").joinpath(
+                "linbo3_sellmeier.json").read_text()
+        else:
+            with open(path) as fh:
+                raw = fh.read()
+        doc = json.loads(raw)
+        out: dict[Polarization, SellmeierSet] = {}
+        for pol, entry in doc["sets"].items():
+            pol = normalize_polarization(pol)
+            out[pol] = SellmeierSet(
+                polarization=pol,
+                coefficients=tuple(entry["coefficients"]),
+                t0_c=doc["t0_c"],
+                t_offset_c=doc["t_offset_c"],
+                wavelength_range_nm=tuple(doc["wavelength_range_nm"]),
+                temperature_range_c=tuple(doc["temperature_range_c"]),
+            )
+    except OSError as exc:
+        raise ConfigError(f"cannot read Sellmeier file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"Sellmeier file {path} is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"Sellmeier file {path} lacks the key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"Sellmeier file {path} does not follow the "
+                          f"documented layout: {exc}") from exc
     if set(out) != {"ordinary", "extraordinary"}:
-        raise ConfigError("Sellmeier file must define both polarizations")
+        raise ConfigError(f"Sellmeier file {path} must define both polarizations")
     return out
 
 
@@ -120,14 +127,12 @@ DEFAULT_INCREMENTS = (
 class IndexIncrementTable:
     """Surface index increments Delta-n vs wavelength for both polarizations.
 
-    ``extrapolation`` controls behavior outside the tabulated span:
-    ``"error"`` raises OutOfRange, ``"clamp"`` holds the end values. The
-    clamp mode exists because the design idler (1551 nm) sits 1 nm past the
-    last tabulated point and spectra scan tens of nm around it.
+    Outside the tabulated span the end values are held: the design idler
+    (1551 nm) sits 1 nm past the last tabulated point and spectra scan tens
+    of nm around it.
     """
 
     entries: tuple[tuple[float, float, float], ...] = DEFAULT_INCREMENTS
-    extrapolation: Literal["error", "clamp"] = "error"
 
     def __post_init__(self):
         lams = [e[0] for e in self.entries]
@@ -142,28 +147,14 @@ class IndexIncrementTable:
                     f"index increments at {lam} nm must lie in [0, 0.01), got {dno}, {dne}"
                 )
 
-    @property
-    def span_nm(self) -> tuple[float, float]:
-        return self.entries[0][0], self.entries[-1][0]
-
     def increment(self, polarization: str, wavelength_nm):
-        """Increment by linear interpolation; an array of wavelengths gives
-        an array."""
+        """Increment by linear interpolation (end values held outside the
+        span); an array of wavelengths gives an array."""
         pol = normalize_polarization(polarization)
-        lam = np.asarray(wavelength_nm, dtype=float)
-        lo, hi = self.span_nm
-        inside = (lam >= lo) & (lam <= hi)
-        if not np.all(inside):
-            if self.extrapolation == "error":
-                raise OutOfRange(
-                    f"wavelength {_first(lam, inside)} nm outside table span "
-                    f"[{lo}, {hi}] nm"
-                )
-            lam = np.clip(lam, lo, hi)
         lams = [e[0] for e in self.entries]
         col = 1 if pol == "ordinary" else 2
         vals = [e[col] for e in self.entries]
-        out = np.interp(lam, lams, vals)
+        out = np.interp(np.asarray(wavelength_nm, dtype=float), lams, vals)
         return float(out) if out.ndim == 0 else out
 
 

@@ -43,6 +43,8 @@ NEWTON_TOL = 1e-13
 XATOL = 1e-9
 # A mode whose n_eff exceeds n_b by no more than this is only quasi-guided.
 GUIDED_MARGIN = 1e-9
+# Central-difference step (nm) of the group-index stencil.
+GROUP_INDEX_STEP_NM = 0.1
 
 
 @dataclass(frozen=True)
@@ -329,17 +331,17 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     )
 
 
-def group_index(mode: ModalSolution, n_eff_at: Callable[[np.ndarray], np.ndarray],
-                step_nm: float = 0.1) -> float:
+def group_index(mode: ModalSolution,
+                n_eff_at: Callable[[np.ndarray], np.ndarray]) -> float:
     """Group effective index N = n_eff - lambda dn_eff/dlambda of ``mode``.
 
     ``n_eff_at`` maps an array of wavelengths to the effective indices there
     and must re-solve the mode (including material dispersion of both n_b
     and delta_n); it is called once, with the two wavelengths of a central
-    difference of step ``step_nm`` around the mode's, so the variational
-    parameters are free to shift with wavelength.
+    difference of step ``GROUP_INDEX_STEP_NM`` around the mode's, so the
+    variational parameters are free to shift with wavelength.
     """
-    lam = mode.wavelength_nm
-    n_minus, n_plus = n_eff_at(np.array([lam - step_nm, lam + step_nm]))
-    dn_dlam = (n_plus - n_minus) / (2.0 * step_nm)
+    lam, step = mode.wavelength_nm, GROUP_INDEX_STEP_NM
+    n_minus, n_plus = n_eff_at(np.array([lam - step, lam + step]))
+    dn_dlam = (n_plus - n_minus) / (2.0 * step)
     return mode.n_eff - lam * dn_dlam

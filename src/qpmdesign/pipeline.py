@@ -16,7 +16,6 @@ import numpy as np
 
 from . import spdc
 from .dispersion import (
-    DEFAULT_INCREMENTS,
     IndexIncrementTable,
     SellmeierSet,
     WaveguideGeometry,
@@ -25,7 +24,7 @@ from .dispersion import (
 )
 from .modesolver import ModalSolution, group_index, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
-from .spdc import EntanglementReport, ProcessAmplitudes
+from .spdc import ProcessAmplitudes
 
 
 @dataclass(frozen=True)
@@ -38,18 +37,10 @@ class Material:
 
     @classmethod
     def default(cls) -> "Material":
-        """Packaged congruent-LiNbO3 fit with the default increment table.
-
-        The table is built in clamp mode: the design idler and spectral scans
-        reach slightly past the last tabulated wavelength, where the end value
-        is held.
-        """
+        """Packaged congruent-LiNbO3 fit with the default increment table."""
         sets = load_sellmeier_sets()
-        return cls(
-            ordinary=sets["ordinary"],
-            extraordinary=sets["extraordinary"],
-            increments=IndexIncrementTable(DEFAULT_INCREMENTS, extrapolation="clamp"),
-        )
+        return cls(ordinary=sets["ordinary"], extraordinary=sets["extraordinary"],
+                   increments=IndexIncrementTable())
 
     def sellmeier(self, polarization: str) -> SellmeierSet:
         pol = normalize_polarization(polarization)
@@ -65,11 +56,10 @@ class ModeContext:
     """
 
     def __init__(self, material: Material, geometry: WaveguideGeometry,
-                 temperature_c: float = 25.0, group_index_step_nm: float = 0.1):
+                 temperature_c: float = 25.0):
         self.material = material
         self.geometry = geometry
         self.temperature_c = temperature_c
-        self.group_index_step_nm = group_index_step_nm
 
     def indices(self, polarization: str, wavelength_nm):
         """(n_b, delta_n) at one wavelength or an array of them."""
@@ -85,8 +75,7 @@ class ModeContext:
         return solve_mode(self.geometry, n_b, dn, wavelength_nm, polarization=pol)
 
     def group_index(self, mode: ModalSolution) -> float:
-        return group_index(mode, lambda lam: self.solve(mode.polarization, lam).n_eff,
-                           self.group_index_step_nm)
+        return group_index(mode, lambda lam: self.solve(mode.polarization, lam).n_eff)
 
 
 @dataclass
@@ -147,23 +136,38 @@ class DesignResult:
         compression = (self.spec.lambda_s_nm / self.spec.lambda_i_nm) ** 2
         return spdc.filtered_gamma(self.amplitudes_at, self.spec.lambda_s_nm,
                                    filter_fwhm_nm, self.bandwidth_oe_nm,
-                                   self.bandwidth_eo_nm,
-                                   conjugate_compression=compression)
+                                   self.bandwidth_eo_nm, compression)
 
-    def report(self) -> EntanglementReport:
-        return EntanglementReport(
-            gamma=self.gamma,
-            bandwidth_oe_nm=self.bandwidth_oe_nm,
-            bandwidth_eo_nm=self.bandwidth_eo_nm,
-            bandwidth_ratio=self.bandwidth_ratio,
-            grating=self.design,
-            amplitudes=self.amplitudes,
-        )
+    def to_dict(self) -> dict:
+        """The design figures as a JSON-ready dict."""
+        g, amps = self.design, self.amplitudes
+        return {
+            "gamma": self.gamma,
+            "bandwidth_oe_nm": self.bandwidth_oe_nm,
+            "bandwidth_eo_nm": self.bandwidth_eo_nm,
+            "bandwidth_ratio": self.bandwidth_ratio,
+            "grating": {
+                "K1_rad_per_um": g.K1,
+                "K2_rad_per_um": g.K2,
+                "Lambda1_um": g.Lambda1,
+                "Lambda2_um": g.Lambda2,
+                "Lambda0_um": g.Lambda0,
+                "Lambdap_um": g.Lambdap,
+            },
+            "amplitudes": {
+                "I_oe_per_um": amps.I_oe_per_um,
+                "I_eo_per_um": amps.I_eo_per_um,
+                "C_oe_rel_abs": abs(amps.C_oe_rel),
+                "C_eo_rel_abs": abs(amps.C_eo_rel),
+                "delta_k_oe_rad_per_um": amps.delta_k_oe,
+                "delta_k_eo_rad_per_um": amps.delta_k_eo,
+                "note": "shared prefactor omitted; absolute scale undefined",
+            },
+        }
 
 
 def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
-                 material: Material | None = None,
-                 group_index_step_nm: float = 0.1) -> DesignResult:
+                 material: Material | None = None) -> DesignResult:
     """Run the full design chain for one geometry.
 
     Solves the five modes, derives the grating frequencies/periods, evaluates
@@ -172,7 +176,7 @@ def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
     """
     if material is None:
         material = Material.default()
-    ctx = ModeContext(material, geometry, spec.temperature_c, group_index_step_nm)
+    ctx = ModeContext(material, geometry, spec.temperature_c)
     po = ctx.solve("ordinary", spec.lambda_p_nm)
     so = ctx.solve("ordinary", spec.lambda_s_nm)
     se = ctx.solve("extraordinary", spec.lambda_s_nm)

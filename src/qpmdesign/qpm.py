@@ -139,7 +139,7 @@ def phase_matching_k(spec: InteractionSpec, n_p, n_s, n_i, lambda_s_nm=None):
     its grating frequency minus this value.
     """
     ls_nm = spec.lambda_s_nm if lambda_s_nm is None else lambda_s_nm
-    li_nm = 1.0 / (1.0 / spec.lambda_p_nm - 1.0 / ls_nm)
+    li_nm = spec.idler_for(ls_nm)
     return TWO_PI * (n_p / (spec.lambda_p_nm * 1e-3) - n_s / (ls_nm * 1e-3)
                      - n_i / (li_nm * 1e-3))
 

@@ -176,19 +176,19 @@ def fwhm(lambda_grid_nm: Sequence[float], intensity: Sequence[float]) -> float:
 def filtered_gamma(amplitudes_at: Callable[..., ProcessAmplitudes],
                    design_lambda_s_nm: float, filter_fwhm_nm: float,
                    bandwidth_oe_nm: float, bandwidth_eo_nm: float,
-                   conjugate_compression: float = 1.0) -> float:
+                   conjugate_compression: float) -> float:
     """Entanglement degree after a rectangular bandpass filter.
 
     The filter sits on the idler arm (coincidence detection makes it act
     non-locally on the pair). Energy conservation maps its width onto a
     signal-side window of ``filter_fwhm_nm * conjugate_compression`` where
-    ``conjugate_compression = (lambda_s / lambda_i)**2``; pass 1.0 for a
-    filter placed directly on the signal arm. Each process's amplitude
-    magnitude is averaged over that window and gamma is the min/max ratio
-    of the averages. ``amplitudes_at`` maps a signal wavelength, or an array
-    of them, to the amplitudes there; it is called once. The filter must be
-    narrower than the narrower process bandwidth, otherwise bandwidth
-    distinguishability is conflated and FilterTooWide is raised.
+    ``conjugate_compression = (lambda_s / lambda_i)**2``. Each process's
+    amplitude magnitude is averaged over that window and gamma is the
+    min/max ratio of the averages. ``amplitudes_at`` maps a signal
+    wavelength, or an array of them, to the amplitudes there; it is called
+    once. The filter must be narrower than the narrower process bandwidth,
+    otherwise bandwidth distinguishability is conflated and FilterTooWide is
+    raised.
     """
     narrow = min(bandwidth_oe_nm, bandwidth_eo_nm)
     if filter_fwhm_nm >= narrow:
@@ -218,40 +218,3 @@ def grating_scheme_efficiency_ratio() -> float:
     16/pi^2 ~ 1.62, independent of L.
     """
     return 16.0 / math.pi**2
-
-
-@dataclass
-class EntanglementReport:
-    """Summary of a single design evaluation."""
-
-    gamma: float
-    bandwidth_oe_nm: float
-    bandwidth_eo_nm: float
-    bandwidth_ratio: float
-    grating: GratingDesign
-    amplitudes: ProcessAmplitudes
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "bandwidth_oe_nm": self.bandwidth_oe_nm,
-            "bandwidth_eo_nm": self.bandwidth_eo_nm,
-            "bandwidth_ratio": self.bandwidth_ratio,
-            "grating": {
-                "K1_rad_per_um": self.grating.K1,
-                "K2_rad_per_um": self.grating.K2,
-                "Lambda1_um": self.grating.Lambda1,
-                "Lambda2_um": self.grating.Lambda2,
-                "Lambda0_um": self.grating.Lambda0,
-                "Lambdap_um": self.grating.Lambdap,
-            },
-            "amplitudes": {
-                "I_oe_per_um": self.amplitudes.I_oe_per_um,
-                "I_eo_per_um": self.amplitudes.I_eo_per_um,
-                "C_oe_rel_abs": abs(self.amplitudes.C_oe_rel),
-                "C_eo_rel_abs": abs(self.amplitudes.C_eo_rel),
-                "delta_k_oe_rad_per_um": self.amplitudes.delta_k_oe,
-                "delta_k_eo_rad_per_um": self.amplitudes.delta_k_eo,
-                "note": "shared prefactor omitted; absolute scale undefined",
-            },
-        }

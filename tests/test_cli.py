@@ -1,8 +1,14 @@
 import json
+from importlib import resources
 
 import pytest
 
+from qpmdesign import config
 from qpmdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, main
+
+
+PACKAGED_SELLMEIER = json.loads(resources.files("qpmdesign.data").joinpath(
+    "linbo3_sellmeier.json").read_text())
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -53,7 +59,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, overrides", [
         ("typo_key", {"typo_key": 1.0}),
         ("cover_index", {"cover_index": 1.8}),
-        ("grid_points", {"solver": {"grid_points": 16}}),
+        ("solver", {"solver": {"grid_points": 16}}),
     ], ids=["typo_key", "cover_index", "solver.grid_points"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, key, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -76,11 +82,45 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["design", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("content", [
+        None,
+        "not json {",
+        json.dumps({k: v for k, v in PACKAGED_SELLMEIER.items() if k != "sets"}),
+        json.dumps({k: v for k, v in PACKAGED_SELLMEIER.items() if k != "t0_c"}),
+        json.dumps([PACKAGED_SELLMEIER]),
+    ], ids=["missing", "not_json", "no_sets", "no_t0_c", "not_an_object"])
+    def test_bad_sellmeier_file_is_config_error(self, tmp_path, capsys, content):
+        table = tmp_path / "sellmeier.json"
+        if content is not None:
+            table.write_text(content)
+        cfg = write_config(tmp_path, sellmeier_file=str(table))
+        assert main(["design", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(table) in err
+
     def test_zeroed_increments_is_physics_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, index_increments=[
             [519.0, 0.0, 0.0], [780.0, 0.0, 0.0], [1550.0, 0.0, 0.0]])
         assert main(["design", "--config", cfg]) == EXIT_PHYSICS
         assert "NoGuidedMode" in capsys.readouterr().err
+
+
+def test_design_request_validates_and_loads_once(monkeypatch, capsys):
+    calls = {"load_sellmeier_sets": 0, "validate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(config, "load_sellmeier_sets",
+                        counted("load_sellmeier_sets", config.load_sellmeier_sets))
+    monkeypatch.setattr(config.DesignConfig, "validate",
+                        counted("validate", config.DesignConfig.validate))
+    assert main(["design", "--temperature", "30"]) == EXIT_OK
+    assert calls == {"load_sellmeier_sets": 1, "validate": 1}
 
 
 class TestDumpConfig:
@@ -91,6 +131,12 @@ class TestDumpConfig:
         path.write_text(first)
         assert main(["design", "--config", str(path), "--dump-config"]) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    def test_bad_increment_table_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, index_increments=[
+            [519.0, 0.0038, 0.0037], [500.0, 0.0034, 0.0030]])
+        assert main(["design", "--config", cfg, "--dump-config"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_overrides_take_effect(self, capsys):
         assert main(["design", "--dump-config", "--temperature", "40",

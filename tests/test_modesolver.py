@@ -6,6 +6,7 @@ from scipy import integrate
 
 from qpmdesign import NoGuidedMode, WaveguideGeometry, solve_mode
 from qpmdesign.dispersion import index_profile
+from qpmdesign import modesolver
 from qpmdesign.modesolver import TrialField, group_index, neff_closed_form
 
 from oracles import neff_quadrature
@@ -162,8 +163,10 @@ def test_group_index_exceeds_phase_index(material):
     assert n_group > mode.n_eff
 
 
-def test_group_index_richardson_step_halving():
+def test_group_index_richardson_step_halving(monkeypatch):
     mode = solve_mode(GEOM, NB, 0.0030, 780.0)
-    n1 = group_index(mode, n_eff_at_fixed_material, step_nm=0.2)
-    n2 = group_index(mode, n_eff_at_fixed_material, step_nm=0.1)
+    monkeypatch.setattr(modesolver, "GROUP_INDEX_STEP_NM", 0.2)
+    n1 = group_index(mode, n_eff_at_fixed_material)
+    monkeypatch.setattr(modesolver, "GROUP_INDEX_STEP_NM", 0.1)
+    n2 = group_index(mode, n_eff_at_fixed_material)
     assert abs(n1 - n2) < 1e-7
