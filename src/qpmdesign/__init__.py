@@ -5,7 +5,6 @@ from .dispersion import (
     IndexIncrementTable,
     SellmeierSet,
     WaveguideGeometry,
-    index_profile,
     load_sellmeier_sets,
 )
 from .errors import (

@@ -7,7 +7,6 @@ interaction length mm.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
@@ -17,16 +16,9 @@ from .dispersion import (
     WaveguideGeometry,
     load_sellmeier_sets,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .pipeline import Material
 from .qpm import InteractionSpec
-
-
-def _check_number(name: str, value) -> None:
-    """ConfigError unless ``value`` is a finite int or float (bool excluded)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -54,21 +46,20 @@ class DesignConfig:
         return isinstance(self.width_um, list) or isinstance(self.depth_um, list)
 
     def interaction(self) -> InteractionSpec:
-        try:
-            return InteractionSpec(
-                lambda_p_nm=self.lambda_p_nm,
-                lambda_s_nm=self.lambda_s_nm,
-                lambda_i_nm=self.lambda_i_nm,
-                temperature_c=self.temperature_c,
-                length_mm=self.length_mm,
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return InteractionSpec(
+            lambda_p_nm=self.lambda_p_nm,
+            lambda_s_nm=self.lambda_s_nm,
+            lambda_i_nm=self.lambda_i_nm,
+            temperature_c=self.temperature_c,
+            length_mm=self.length_mm,
+        )
 
     def material(self) -> Material:
+        """The Sellmeier sets and increment table, checked against the
+        config's temperature."""
         sets = load_sellmeier_sets(self.sellmeier_file)
+        for sellmeier in sets.values():
+            sellmeier.check_temperature(self.temperature_c)
         entries = tuple(tuple(float(v) for v in row) for row in self.index_increments)
         table = IndexIncrementTable(entries)
         return Material(ordinary=sets["ordinary"],
@@ -96,13 +87,13 @@ class DesignConfig:
 
     def _check_types(self):
         for name in ("lambda_p_nm", "lambda_s_nm", "temperature_c", "length_mm"):
-            _check_number(name, getattr(self, name))
+            check_number(name, getattr(self, name))
         if self.lambda_i_nm is not None:
-            _check_number("lambda_i_nm", self.lambda_i_nm)
+            check_number("lambda_i_nm", self.lambda_i_nm)
         for name in ("width_um", "depth_um"):
             value = getattr(self, name)
             for item in value if isinstance(value, list) else [value]:
-                _check_number(name, item)
+                check_number(name, item)
         if self.sellmeier_file is not None and not isinstance(self.sellmeier_file, str):
             raise ConfigError(f"sellmeier_file must be a path string, got "
                               f"{self.sellmeier_file!r}")
@@ -113,7 +104,7 @@ class DesignConfig:
                               "[wavelength_nm, dn_o, dn_e] rows")
         for row in rows:
             for item in row:
-                _check_number("index_increments", item)
+                check_number("index_increments", item)
 
     def validate(self):
         """Check types, the interaction and every geometry. The material

@@ -2,7 +2,7 @@
 
 Covers the bulk substrate indices (temperature-dependent Sellmeier-type fit,
 ordinary and extraordinary), the titanium in-diffusion surface index
-increments, and the transverse index profile of the channel.
+increments, and the channel geometry.
 
 Units: wavelengths in nm at the public interfaces, geometry in um,
 temperatures in degC.
@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRange
+from .errors import ConfigError, OutOfRange, check_number
 
 Polarization = Literal["ordinary", "extraordinary"]
 
@@ -51,6 +51,30 @@ class SellmeierSet:
     wavelength_range_nm: tuple[float, float] = (400.0, 2000.0)
     temperature_range_c: tuple[float, float] = (20.0, 200.0)
 
+    def __post_init__(self):
+        count = len(self.coefficients)
+        if count != 7:
+            raise ConfigError(f"{self.polarization} coefficients must be 7 numbers "
+                              f"(A1, A2, A3, A4, B1, B2, B3), got {count}")
+        for c in self.coefficients:
+            check_number(f"{self.polarization} coefficients", c)
+        check_number("t0_c", self.t0_c)
+        check_number("t_offset_c", self.t_offset_c)
+        for name in ("wavelength_range_nm", "temperature_range_c"):
+            bounds = getattr(self, name)
+            for b in bounds:
+                check_number(name, b)
+            if len(bounds) != 2 or not bounds[0] < bounds[1]:
+                raise ConfigError(f"{name} must be two increasing numbers, got {bounds}")
+
+    def check_temperature(self, temperature_c: float) -> None:
+        """OutOfRange unless the fit is validated at this temperature."""
+        tlo, thi = self.temperature_range_c
+        if not tlo <= temperature_c <= thi:
+            raise OutOfRange(
+                f"temperature {temperature_c} C outside validated range [{tlo}, {thi}] C"
+            )
+
     def index(self, wavelength_nm, temperature_c: float = 25.0):
         """Bulk index; an array of wavelengths gives an array."""
         lam_nm = np.asarray(wavelength_nm, dtype=float)
@@ -61,11 +85,7 @@ class SellmeierSet:
                 f"wavelength {float(lam_nm[~inside].flat[0])} nm outside validated "
                 f"range [{lo}, {hi}] nm"
             )
-        tlo, thi = self.temperature_range_c
-        if not tlo <= temperature_c <= thi:
-            raise OutOfRange(
-                f"temperature {temperature_c} C outside validated range [{tlo}, {thi}] C"
-            )
+        self.check_temperature(temperature_c)
         a1, a2, a3, a4, b1, b2, b3 = self.coefficients
         lam = lam_nm * 1e-3  # um
         f = (temperature_c - self.t0_c) * (temperature_c + self.t0_c + self.t_offset_c)
@@ -79,7 +99,8 @@ def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, Sellmeier
 
     With no path, the packaged congruent-LiNbO3 fit is used. The file layout
     is documented by the packaged ``data/linbo3_sellmeier.json``. A file
-    that cannot be read, is not JSON or lacks a key is a ConfigError.
+    that cannot be read, is not JSON, lacks a key or holds a field of the
+    wrong shape is a ConfigError.
     """
     try:
         if path is None:
@@ -106,6 +127,8 @@ def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, Sellmeier
         raise ConfigError(f"Sellmeier file {path} is not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"Sellmeier file {path} lacks the key {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"Sellmeier file {path}: {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ConfigError(f"Sellmeier file {path} does not follow the "
                           f"documented layout: {exc}") from exc
@@ -168,22 +191,3 @@ class WaveguideGeometry:
     def __post_init__(self):
         if self.width_w <= 0 or self.depth_h <= 0:
             raise ConfigError("waveguide width and depth must be positive")
-
-
-def index_profile(geom: WaveguideGeometry, n_b: float, delta_n: float, y_um, z_um):
-    """Squared-index profile n^2(y, z) of the diffused channel.
-
-    Substrate half-space z < 0 carries the double-Gaussian increment
-    n_b^2 + 2 n_b dn exp(-y^2/w^2) exp(-z^2/h^2); the cover z >= 0 is air
-    (n = 1). The trial fields vanish there, so no result depends on the
-    cover. Accepts scalars or numpy arrays.
-    """
-    y = np.asarray(y_um, dtype=float)
-    z = np.asarray(z_um, dtype=float)
-    substrate = n_b**2 + 2.0 * n_b * delta_n * np.exp(-(y**2) / geom.width_w**2) * np.exp(
-        -(z**2) / geom.depth_h**2
-    )
-    out = np.where(z < 0.0, substrate, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out

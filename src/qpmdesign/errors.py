@@ -1,5 +1,7 @@
 """Exception hierarchy for the design toolkit."""
 
+import math
+
 
 class QpmDesignError(Exception):
     """Base class for all toolkit errors."""
@@ -41,3 +43,10 @@ class UndefinedGamma(QpmDesignError):
 
 class ConfigError(QpmDesignError):
     """Invalid or inconsistent run configuration."""
+
+
+def check_number(name: str, value) -> None:
+    """ConfigError unless ``value`` is a finite int or float (bool excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -43,7 +42,7 @@ NEWTON_TOL = 1e-13
 XATOL = 1e-9
 # A mode whose n_eff exceeds n_b by no more than this is only quasi-guided.
 GUIDED_MARGIN = 1e-9
-# Central-difference step (nm) of the group-index stencil.
+# Central-difference step (nm) of the group index.
 GROUP_INDEX_STEP_NM = 0.1
 
 
@@ -51,13 +50,13 @@ GROUP_INDEX_STEP_NM = 0.1
 class TrialField:
     """Normalized Hermite-Gauss trial field on the half-space z < 0.
 
-    amplitude(y, z) = sqrt(16 a_y a_z / (pi w h)) a_z (-z/h)
-                      exp(-a_y^2 y^2 / w^2) exp(-a_z^2 z^2 / h^2)  for z < 0,
+    psi(y, z) = sqrt(16 a_y a_z / (pi w h)) a_z (-z/h)
+                exp(-a_y^2 y^2 / w^2) exp(-a_z^2 z^2 / h^2)  for z < 0,
     and 0 for z >= 0. The sign is chosen so the lobe is positive. The L2 norm
     over the half-space is exactly 1 for any valid parameters.
 
     The parameters may be arrays of one shape, one field per element, as in
-    a ``solve_mode`` over arrays; ``amplitude`` and ``grad`` need scalars.
+    a ``solve_mode`` over arrays.
     """
 
     alpha_y: float
@@ -68,38 +67,6 @@ class TrialField:
     def __post_init__(self):
         if np.any(np.asarray(self.alpha_y) <= 0) or np.any(np.asarray(self.alpha_z) <= 0):
             raise ValueError("variational parameters must be positive")
-
-    @property
-    def _norm(self) -> float:
-        return math.sqrt(
-            16.0 * self.alpha_y * self.alpha_z / (math.pi * self.width_w * self.depth_h)
-        ) * self.alpha_z
-
-    def amplitude(self, y_um, z_um):
-        """Field value; accepts scalars or arrays (um)."""
-        y = np.asarray(y_um, dtype=float)
-        z = np.asarray(z_um, dtype=float)
-        w, h = self.width_w, self.depth_h
-        val = (
-            self._norm
-            * (-z / h)
-            * np.exp(-(self.alpha_y**2) * y**2 / w**2)
-            * np.exp(-(self.alpha_z**2) * z**2 / h**2)
-        )
-        out = np.where(z < 0.0, val, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def grad(self, y_um: float, z_um: float) -> tuple[float, float]:
-        """Analytic transverse gradient (d/dy, d/dz) for z < 0."""
-        if z_um >= 0.0:
-            return 0.0, 0.0
-        w, h = self.width_w, self.depth_h
-        ay2, az2 = self.alpha_y**2, self.alpha_z**2
-        env = math.exp(-ay2 * y_um**2 / w**2 - az2 * z_um**2 / h**2)
-        psi = self._norm * (-z_um / h) * env
-        dpsi_dy = -2.0 * ay2 * y_um / w**2 * psi
-        dpsi_dz = self._norm * env * (-1.0 / h) * (1.0 - 2.0 * az2 * z_um**2 / h**2)
-        return dpsi_dy, dpsi_dz
 
 
 @dataclass
@@ -331,17 +298,21 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     )
 
 
-def group_index(mode: ModalSolution,
-                n_eff_at: Callable[[np.ndarray], np.ndarray]) -> float:
+def group_index(mode: ModalSolution, indices) -> float:
     """Group effective index N = n_eff - lambda dn_eff/dlambda of ``mode``.
 
-    ``n_eff_at`` maps an array of wavelengths to the effective indices there
-    and must re-solve the mode (including material dispersion of both n_b
-    and delta_n); it is called once, with the two wavelengths of a central
-    difference of step ``GROUP_INDEX_STEP_NM`` around the mode's, so the
-    variational parameters are free to shift with wavelength.
+    ``mode`` maximizes the closed form over the alphas, so dn_eff/dlambda is
+    the partial derivative at the mode's alphas (envelope theorem) and needs
+    no re-solve. It is a central difference of step ``GROUP_INDEX_STEP_NM``
+    of the closed form at those alphas, with the material indices
+    ``indices(polarization, wavelengths) -> (n_b, delta_n)`` at the two
+    wavelengths, so material dispersion of both n_b and delta_n is included.
     """
     lam, step = mode.wavelength_nm, GROUP_INDEX_STEP_NM
-    n_minus, n_plus = n_eff_at(np.array([lam - step, lam + step]))
+    lams = np.array([lam - step, lam + step])
+    n_b, dn = indices(mode.polarization, lams)
+    f = mode.field
+    n_minus, n_plus = np.sqrt(neff_closed_form(f.alpha_y, f.alpha_z, f.width_w,
+                                               f.depth_h, n_b, dn, lams))
     dn_dlam = (n_plus - n_minus) / (2.0 * step)
     return mode.n_eff - lam * dn_dlam

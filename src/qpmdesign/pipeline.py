@@ -74,9 +74,6 @@ class ModeContext:
         n_b, dn = self.indices(pol, wavelength_nm)
         return solve_mode(self.geometry, n_b, dn, wavelength_nm, polarization=pol)
 
-    def group_index(self, mode: ModalSolution) -> float:
-        return group_index(mode, lambda lam: self.solve(mode.polarization, lam).n_eff)
-
 
 @dataclass
 class DesignResult:
@@ -187,7 +184,7 @@ def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
     design = periods_from_frequencies(k1, k2)
     amps = spdc.relative_amplitudes(po, so, se, io, ie, design, spec)
     g = spdc.gamma(amps)
-    n_so, n_se, n_io, n_ie = (ctx.group_index(m) for m in (so, se, io, ie))
+    n_so, n_se, n_io, n_ie = (group_index(m, ctx.indices) for m in (so, se, io, ie))
     bw_oe, bw_eo = spdc.bandwidth_approx(n_so, n_se, n_io, n_ie,
                                          spec.lambda_s_nm, spec.length_mm)
     return DesignResult(

@@ -116,17 +116,12 @@ class PolingPattern:
 
     def __post_init__(self):
         b = self.domain_boundaries
-        if any(x2 <= x1 for x1, x2 in zip(b, b[1:])):
+        if np.any(np.diff(b) <= 0.0):
             raise ConfigError("domain boundaries must be strictly increasing")
         if b and (b[0] <= 0.0 or b[-1] >= self.length_um):
             raise ConfigError("domain boundaries must lie inside (0, L)")
         if self.initial_sign not in (-1, 1):
             raise ConfigError("initial sign must be +-1")
-
-    def sign_at(self, x_um: float) -> int:
-        """Sign of the nonlinear coefficient at position x."""
-        flips = np.searchsorted(self.domain_boundaries, x_um, side="right")
-        return self.initial_sign * (1 if flips % 2 == 0 else -1)
 
 
 def phase_matching_k(spec: InteractionSpec, n_p, n_s, n_i, lambda_s_nm=None):
@@ -205,15 +200,15 @@ def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern
     # a flip at (or within tolerance of) the end facet has no effect;
     # np.arange can also emit the stop value itself through rounding
     merged = merged[merged < length_um - COINCIDENCE_TOL_UM]
-    boundaries: list[float] = []
-    i = 0
-    while i < len(merged):
-        if i + 1 < len(merged) and merged[i + 1] - merged[i] <= COINCIDENCE_TOL_UM:
-            i += 2  # simultaneous flip of both waves: sign unchanged
-        else:
-            boundaries.append(float(merged[i]))
-            i += 1
-    return PolingPattern(domain_boundaries=tuple(boundaries), length_um=length_um)
+    # a simultaneous flip of both waves leaves the sign unchanged: drop both
+    # flips of each coincident pair (both half periods are far above the
+    # tolerance, so pairs cannot chain)
+    pair = np.diff(merged) <= COINCIDENCE_TOL_UM
+    drop = np.zeros(len(merged), dtype=bool)
+    drop[:-1] |= pair
+    drop[1:] |= pair
+    return PolingPattern(domain_boundaries=tuple(merged[~drop].tolist()),
+                         length_um=length_um)
 
 
 def fourier_component(pattern: PolingPattern, K: float) -> complex:

@@ -1,9 +1,11 @@
 """Independent numerical oracles for the closed forms in ``qpmdesign``.
 
-Adaptive 2-D quadrature of the variational functional and of the overlap
-integral, the zero-mismatch amplitude ratio written directly in the
-variational parameters, and a per-sample loop of cold mode solves that the
-batched spectra and filtered gamma are checked against. They exist only to
+The trial field and the index profile in (y, z), adaptive 2-D quadrature of
+the variational functional and of the overlap integral, the zero-mismatch
+amplitude ratio written directly in the variational parameters, a group
+index that re-solves the mode around its wavelength, a per-sample loop of
+cold mode solves that the batched spectra and filtered gamma are checked
+against, and a flip-by-flip poling-pattern synthesis. They exist only to
 check the package's closed forms and fast paths.
 """
 
@@ -15,9 +17,72 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
+from qpmdesign import modesolver
+from qpmdesign.dispersion import WaveguideGeometry
 from qpmdesign.errors import QuadratureFailure
 from qpmdesign.modesolver import ModalSolution, TrialField
+from qpmdesign.qpm import COINCIDENCE_TOL_UM, GratingDesign, PolingPattern
 from qpmdesign.spdc import ProcessAmplitudes, fwhm, relative_amplitudes, spectrum
+
+
+def _norm(field: TrialField) -> float:
+    return math.sqrt(
+        16.0 * field.alpha_y * field.alpha_z / (math.pi * field.width_w * field.depth_h)
+    ) * field.alpha_z
+
+
+def amplitude(field: TrialField, y_um, z_um):
+    """Value of the normalized trial field (see ``TrialField``); accepts
+    scalars or arrays (um)."""
+    y = np.asarray(y_um, dtype=float)
+    z = np.asarray(z_um, dtype=float)
+    w, h = field.width_w, field.depth_h
+    val = (
+        _norm(field)
+        * (-z / h)
+        * np.exp(-(field.alpha_y**2) * y**2 / w**2)
+        * np.exp(-(field.alpha_z**2) * z**2 / h**2)
+    )
+    out = np.where(z < 0.0, val, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def grad(field: TrialField, y_um: float, z_um: float) -> tuple[float, float]:
+    """Analytic transverse gradient (d/dy, d/dz) of the trial field for z < 0."""
+    if z_um >= 0.0:
+        return 0.0, 0.0
+    w, h = field.width_w, field.depth_h
+    ay2, az2 = field.alpha_y**2, field.alpha_z**2
+    env = math.exp(-ay2 * y_um**2 / w**2 - az2 * z_um**2 / h**2)
+    psi = _norm(field) * (-z_um / h) * env
+    dpsi_dy = -2.0 * ay2 * y_um / w**2 * psi
+    dpsi_dz = _norm(field) * env * (-1.0 / h) * (1.0 - 2.0 * az2 * z_um**2 / h**2)
+    return dpsi_dy, dpsi_dz
+
+
+def index_profile(geom: WaveguideGeometry, n_b: float, delta_n: float, y_um, z_um):
+    """Squared-index profile n^2(y, z) of the diffused channel.
+
+    Substrate half-space z < 0 carries the double-Gaussian increment
+    n_b^2 + 2 n_b dn exp(-y^2/w^2) exp(-z^2/h^2); the cover z >= 0 is air
+    (n = 1). The trial fields vanish there, so no result depends on the
+    cover. Accepts scalars or numpy arrays.
+    """
+    y = np.asarray(y_um, dtype=float)
+    z = np.asarray(z_um, dtype=float)
+    substrate = n_b**2 + 2.0 * n_b * delta_n * np.exp(-(y**2) / geom.width_w**2) * np.exp(
+        -(z**2) / geom.depth_h**2
+    )
+    out = np.where(z < 0.0, substrate, 1.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def sign_at(pattern: PolingPattern, x_um: float) -> int:
+    """Sign of the nonlinear coefficient at position x."""
+    flips = np.searchsorted(pattern.domain_boundaries, x_um, side="right")
+    return pattern.initial_sign * (1 if flips % 2 == 0 else -1)
 
 
 def neff_quadrature(field: TrialField, profile: Callable[[float, float], float],
@@ -32,8 +97,8 @@ def neff_quadrature(field: TrialField, profile: Callable[[float, float], float],
     k0 = 2.0 * math.pi / (wavelength_nm * 1e-3)
 
     def integrand(z: float, y: float) -> float:
-        psi = field.amplitude(y, z)
-        gy, gz = field.grad(y, z)
+        psi = amplitude(field, y, z)
+        gy, gz = grad(field, y, z)
         return -(gy**2 + gz**2) / k0**2 + profile(y, z) * psi**2
 
     ylim = 8.0 * field.width_w / field.alpha_y
@@ -53,7 +118,7 @@ def overlap_integral_quadrature(pump: TrialField, a: TrialField, b: TrialField,
     """Adaptive-quadrature oracle for ``overlap_integral``."""
 
     def integrand(z: float, y: float) -> float:
-        return pump.amplitude(y, z) * a.amplitude(y, z) * b.amplitude(y, z)
+        return amplitude(pump, y, z) * amplitude(a, y, z) * amplitude(b, y, z)
 
     ymax = 8.0 * pump.width_w / min(f.alpha_y for f in (pump, a, b))
     zmax = 8.0 * pump.depth_h / min(f.alpha_z for f in (pump, a, b))
@@ -89,6 +154,22 @@ def amplitude_ratio_closed_form(po: ModalSolution, so: ModalSolution,
         * so.n_eff * ie.n_eff
     )
     return num / den
+
+
+def reference_group_index(mode: ModalSolution,
+                          n_eff_at: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Group effective index N = n_eff - lambda dn_eff/dlambda of ``mode``.
+
+    ``n_eff_at`` maps an array of wavelengths to the effective indices there
+    and must re-solve the mode (including material dispersion of both n_b
+    and delta_n); it is called once, with the two wavelengths of a central
+    difference of step ``modesolver.GROUP_INDEX_STEP_NM`` around the mode's,
+    so the variational parameters are free to shift with wavelength.
+    """
+    lam, step = mode.wavelength_nm, modesolver.GROUP_INDEX_STEP_NM
+    n_minus, n_plus = n_eff_at(np.array([lam - step, lam + step]))
+    dn_dlam = (n_plus - n_minus) / (2.0 * step)
+    return mode.n_eff - lam * dn_dlam
 
 
 def reference_amplitudes(result, lambda_s_nm: float) -> ProcessAmplitudes:
@@ -132,3 +213,24 @@ def reference_filtered_gamma(result, filter_fwhm_nm: float, n_samples: int = 33)
     avg_oe = np.trapezoid(mags_oe, grid)
     avg_eo = np.trapezoid(mags_eo, grid)
     return float(min(avg_oe, avg_eo) / max(avg_oe, avg_eo))
+
+
+def reference_boundaries(design: GratingDesign, length_mm: float) -> tuple[float, ...]:
+    """``synthesize_pattern``'s domain boundaries, one flip at a time: the
+    merged flips of both square waves, with each coincident pair dropped."""
+    length_um = length_mm * 1e3
+    half0 = design.Lambda0 / 2.0
+    halfp = design.Lambdap / 2.0
+    flips0 = np.arange(half0, length_um, half0)
+    flipsp = np.arange(halfp, length_um, halfp)
+    merged = np.sort(np.concatenate([flips0, flipsp]))
+    merged = merged[merged < length_um - COINCIDENCE_TOL_UM]
+    boundaries: list[float] = []
+    i = 0
+    while i < len(merged):
+        if i + 1 < len(merged) and merged[i + 1] - merged[i] <= COINCIDENCE_TOL_UM:
+            i += 2  # simultaneous flip of both waves: sign unchanged
+        else:
+            boundaries.append(float(merged[i]))
+            i += 1
+    return tuple(boundaries)

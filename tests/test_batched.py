@@ -137,8 +137,9 @@ def test_filtered_gamma_matches_per_sample_reference(table_results, depth, width
 
 
 def test_spectrum_request_solve_count(spec, material, monkeypatch):
-    """Spectra and filtered gamma solve each of their four modes in one
-    call over all samples."""
+    """A design point solves each of its five modes once (the group indices
+    re-solve none); spectra and filtered gamma solve each of their four
+    modes in one call over all samples."""
     sizes = []
     solve_mode = pipeline.solve_mode
 
@@ -151,7 +152,7 @@ def test_spectrum_request_solve_count(spec, material, monkeypatch):
     after_design = len(sizes)
     result.spectra(10.0, 2001)
     result.filtered_gamma(0.1)
-    assert after_design <= 13
+    assert after_design == 5
     assert sizes[after_design:] == [2001] * 4 + [spdc.FILTER_SAMPLES] * 4
 
 

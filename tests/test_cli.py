@@ -88,16 +88,35 @@ class TestExitCodes:
         json.dumps({k: v for k, v in PACKAGED_SELLMEIER.items() if k != "sets"}),
         json.dumps({k: v for k, v in PACKAGED_SELLMEIER.items() if k != "t0_c"}),
         json.dumps([PACKAGED_SELLMEIER]),
-    ], ids=["missing", "not_json", "no_sets", "no_t0_c", "not_an_object"])
+        json.dumps({**PACKAGED_SELLMEIER, "sets": {
+            pol: {**entry, "coefficients": entry["coefficients"][:6]}
+            for pol, entry in PACKAGED_SELLMEIER["sets"].items()}}),
+        json.dumps({**PACKAGED_SELLMEIER, "wavelength_range_nm": [400.0]}),
+    ], ids=["missing", "not_json", "no_sets", "no_t0_c", "not_an_object",
+            "six_coefficients", "one_element_range"])
     def test_bad_sellmeier_file_is_config_error(self, tmp_path, capsys, content):
         table = tmp_path / "sellmeier.json"
         if content is not None:
             table.write_text(content)
         cfg = write_config(tmp_path, sellmeier_file=str(table))
-        assert main(["design", "--config", cfg]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert str(table) in err
+        for extra in ([], ["--dump-config"]):
+            assert main(["design", "--config", cfg, *extra]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert str(table) in err
+
+    def test_temperature_outside_sellmeier_range(self, tmp_path, capsys):
+        """--dump-config and design reject the same temperature with the
+        same message."""
+        cfg = write_config(tmp_path, temperature_c=500.0)
+        errors = []
+        for extra in ([], ["--dump-config"]):
+            assert main(["design", "--config", cfg, *extra]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert "temperature 500.0 C outside validated range" in errors[0]
 
     def test_zeroed_increments_is_physics_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, index_increments=[

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qpmdesign import OutOfRange, WaveguideGeometry, index_profile
+from qpmdesign import OutOfRange, WaveguideGeometry
 from qpmdesign.dispersion import DEFAULT_INCREMENTS, IndexIncrementTable, load_sellmeier_sets
+
+from oracles import index_profile
 
 SETS = load_sellmeier_sets()
 

@@ -5,11 +5,12 @@ import pytest
 from scipy import integrate
 
 from qpmdesign import NoGuidedMode, WaveguideGeometry, solve_mode
-from qpmdesign.dispersion import index_profile
 from qpmdesign import modesolver
 from qpmdesign.modesolver import TrialField, group_index, neff_closed_form
+from qpmdesign.pipeline import ModeContext
 
-from oracles import neff_quadrature
+from conftest import DESIGN_TABLE
+from oracles import amplitude, grad, index_profile, neff_quadrature, reference_group_index
 
 GEOM = WaveguideGeometry(10.0, 10.0)
 NB, DN, LAM = 2.2112, 0.0025, 1551.0
@@ -31,8 +32,8 @@ def gauss_legendre_neff2(field, n_b, dn, lam_nm, n_nodes):
     wz = wx * 0.5 * zlim
     total = 0.0
     for zi, wzi in zip(z, wz):
-        psi = field.amplitude(y, zi)
-        grads = np.array([field.grad(yi, zi) for yi in y])
+        psi = amplitude(field, y, zi)
+        grads = np.array([grad(field, yi, zi) for yi in y])
         n2 = index_profile(GEOM, n_b, dn, y, np.full_like(y, zi))
         val = -(grads[:, 0] ** 2 + grads[:, 1] ** 2) / k0**2 + n2 * psi**2
         total += wzi * np.sum(wy * val)
@@ -82,16 +83,16 @@ def test_trial_field_normalized():
     field = TrialField(0.7, 2.3, 6.0, 9.0)
     ylim = 10.0 * field.width_w / field.alpha_y
     zlim = 10.0 * field.depth_h / field.alpha_z
-    val, _ = integrate.dblquad(lambda z, y: field.amplitude(y, z) ** 2,
+    val, _ = integrate.dblquad(lambda z, y: amplitude(field, y, z) ** 2,
                                -ylim, ylim, -zlim, 0.0, epsabs=1e-11)
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_trial_field_vanishes_in_cover():
     field = TrialField(1.0, 1.0, 10.0, 10.0)
-    assert field.amplitude(0.0, 0.0) == 0.0
-    assert field.amplitude(3.0, 2.0) == 0.0
-    assert field.amplitude(0.0, -5.0) > 0.0
+    assert amplitude(field, 0.0, 0.0) == 0.0
+    assert amplitude(field, 3.0, 2.0) == 0.0
+    assert amplitude(field, 0.0, -5.0) > 0.0
 
 
 def test_solve_mode_bracket():
@@ -151,22 +152,31 @@ def n_eff_at_fixed_material(lams):
 
 
 def test_group_index_exceeds_phase_index(material):
-    geom = WaveguideGeometry(10.0, 10.0)
-
-    def mode_at(lam):
-        n_b = material.extraordinary.index(lam, 25.0)
-        dn = material.increments.increment("extraordinary", lam)
-        return solve_mode(geom, n_b, dn, lam)
-
-    mode = mode_at(780.0)
-    n_group = group_index(mode, lambda lams: np.array([mode_at(l).n_eff for l in lams]))
+    ctx = ModeContext(material, WaveguideGeometry(10.0, 10.0), 25.0)
+    mode = ctx.solve("extraordinary", 780.0)
+    n_group = group_index(mode, ctx.indices)
     assert n_group > mode.n_eff
+
+
+@pytest.mark.parametrize("depth, width", [row[:2] for row in DESIGN_TABLE])
+def test_group_index_matches_re_solving_reference(table_results, depth, width):
+    """The closed form at the solved alphas against re-solving the mode at
+    lambda +- step (envelope theorem), for signal and idler, both
+    polarizations."""
+    result = table_results[(depth, width)]
+    ctx = result.context
+    for key in ("so", "se", "io", "ie"):
+        mode = result.modes[key]
+        ref = reference_group_index(
+            mode, lambda lams: ctx.solve(mode.polarization, lams).n_eff)
+        assert abs(group_index(mode, ctx.indices) - ref) <= 1e-7
+        assert abs(result.group_indices[f"N_{key}"] - ref) <= 1e-7
 
 
 def test_group_index_richardson_step_halving(monkeypatch):
     mode = solve_mode(GEOM, NB, 0.0030, 780.0)
     monkeypatch.setattr(modesolver, "GROUP_INDEX_STEP_NM", 0.2)
-    n1 = group_index(mode, n_eff_at_fixed_material)
+    n1 = reference_group_index(mode, n_eff_at_fixed_material)
     monkeypatch.setattr(modesolver, "GROUP_INDEX_STEP_NM", 0.1)
-    n2 = group_index(mode, n_eff_at_fixed_material)
+    n2 = reference_group_index(mode, n_eff_at_fixed_material)
     assert abs(n1 - n2) < 1e-7

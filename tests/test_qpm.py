@@ -16,6 +16,8 @@ from qpmdesign import (
 )
 from qpmdesign.qpm import GratingDesign, PolingPattern, export_pattern_csv
 
+from oracles import reference_boundaries, sign_at
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -116,9 +118,9 @@ class TestPattern:
         design = commensurate_design()
         pattern = synthesize_pattern(design, length_mm=0.06)  # 10 Lambdap
         eps = 1e-6
-        assert pattern.sign_at(eps) == 1
+        assert sign_at(pattern, eps) == 1
         # first carrier flip at Lambda0/2 = 1 um, modulation not yet flipped
-        assert pattern.sign_at(design.Lambda0 / 2 + eps) == -1
+        assert sign_at(pattern, design.Lambda0 / 2 + eps) == -1
 
     def test_coincident_flips_cancel(self):
         # Lambda0/2 = 1, Lambdap/2 = 3: flips coincide at x = 3, 6, 9, ...
@@ -126,7 +128,31 @@ class TestPattern:
         pattern = synthesize_pattern(design, length_mm=0.06)
         assert not any(abs(b - 3.0) < 1e-9 for b in pattern.domain_boundaries)
         # f1 flips odd->even at 3 while f2 flips too: product stays put
-        assert pattern.sign_at(3.0 - 1e-6) == pattern.sign_at(3.0 + 1e-6)
+        assert sign_at(pattern, 3.0 - 1e-6) == sign_at(pattern, 3.0 + 1e-6)
+
+    def test_matches_flip_by_flip_reference(self):
+        """Equal boundaries on seeded designs and on the commensurate
+        Lambdap/Lambda0 = 9 and 71/8 (near the design table's ratio), where
+        flip pairs coincide and are dropped."""
+        rng = np.random.default_rng(2024)
+        cases = [(commensurate_design(lambda0, lambda0 * ratio), length)
+                 for lambda0, ratio, length in zip(rng.uniform(3.5, 4.5, 60),
+                                                   rng.uniform(4.0, 20.0, 60),
+                                                   rng.uniform(1.0, 50.0, 60))]
+        commensurate = [(commensurate_design(4.1, 4.1 * ratio), length)
+                        for ratio in (9.0, 71.0 / 8.0) for length in (10.0, 50.0)]
+        for design, length in cases + commensurate:
+            pattern = synthesize_pattern(design, length)
+            assert pattern.domain_boundaries == reference_boundaries(design, length)
+        for design, length in commensurate:
+            flips = (length * 1e3 / (design.Lambda0 / 2.0)
+                     + length * 1e3 / (design.Lambdap / 2.0))
+            assert len(synthesize_pattern(design, length).domain_boundaries) < flips - 2
+
+    @pytest.mark.parametrize("boundaries", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0, 2.0)])
+    def test_unordered_boundaries_rejected(self, boundaries):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            PolingPattern(domain_boundaries=boundaries, length_um=10.0)
 
     def test_boundaries_strictly_increasing(self):
         design = commensurate_design(2.0, 7.0)
