@@ -16,7 +16,6 @@ from .errors import (
     NonPositiveFrequency,
     OutOfRange,
     QpmDesignError,
-    QuadratureFailure,
     UndefinedGamma,
 )
 from .modesolver import (

@@ -16,10 +16,6 @@ class NoGuidedMode(QpmDesignError):
     wavelength (no interior maximum of the effective-index functional)."""
 
 
-class QuadratureFailure(QpmDesignError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class NonPositiveFrequency(QpmDesignError):
     """An index combination yields a non-positive QPM spatial frequency."""
 

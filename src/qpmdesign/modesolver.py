@@ -15,9 +15,9 @@ index the mode is only quasi-guided and is flagged as such.
 ``solve_mode`` is one batched kernel: it takes a wavelength (with its
 material indices) or arrays of them, seeds every point from the best strict
 peak of a coarse alpha grid (which also decides whether an interior maximum
-exists), refines the seeds together by Newton iteration on the analytic
-stationarity equations, and refines by Nelder-Mead only the points Newton
-cannot settle on a concave interior point.
+exists), and refines the seeds together by a safeguarded Newton iteration
+on the analytic stationarity equations. A point it cannot settle on a
+concave interior point has no interior maximum.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .dispersion import WaveguideGeometry
 from .errors import NoGuidedMode
@@ -34,12 +33,12 @@ from .errors import NoGuidedMode
 # Seed grids for the interior-maximum search, (points per axis, alpha range)
 # in both variational parameters; the second is tried only where the first
 # shows no peak. Newton stops once a step is below NEWTON_TOL (relative to
-# alpha) or after NEWTON_STEPS; a seed it cannot settle is refined by
-# Nelder-Mead to XATOL.
+# alpha) or after NEWTON_STEPS. A settled point with an alpha at or below
+# ALPHA_CUT is on the alpha -> 0 boundary, not an interior maximum.
 SEED_GRIDS = ((16, (0.2, 8.0)), (64, (0.05, 12.0)))
 NEWTON_STEPS = 40
 NEWTON_TOL = 1e-13
-XATOL = 1e-9
+ALPHA_CUT = 1e-8
 # A mode whose n_eff exceeds n_b by no more than this is only quasi-guided.
 GUIDED_MARGIN = 1e-9
 # Central-difference step (nm) of the group index.
@@ -109,17 +108,26 @@ def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
 
 
 def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
-    """Newton iteration on the stationarity equations of the closed form.
+    """Safeguarded Newton iteration on the stationarity equations of the
+    closed form.
 
     Writing n_eff^2 = n_b^2 - c_y a_y^2 - c_z a_z^2 + c f(a_y) g(a_z) with
     c_y = 1/(k0 w)^2, c_z = 3/(k0 h)^2, c = 8 n_b dn,
     f = a/sqrt(2a^2+1) and g = a^3/(2a^2+1)^(3/2), the gradient and Hessian
     follow from f' = (2a^2+1)^(-3/2), f'' = -6a (2a^2+1)^(-5/2),
     g' = 3a^2 (2a^2+1)^(-5/2) and g'' = 6a (1-3a^2) (2a^2+1)^(-7/2).
+
+    Where the Hessian H is concave and the Newton step -H^-1 grad keeps both
+    alphas above half their value, that step is taken. Elsewhere the step
+    is |H|^-1 grad, |H| the matrix absolute value of H (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., sec. 3.4), shortened so that no alpha
+    more than halves: an ascent that leaves saddles and never crosses to
+    the mirror maximum at negative alphas.
+
     Broadcasts over arrays. Returns (alpha_y, alpha_z, accepted): a point is
     accepted when the iteration settled on a concave interior point
-    (det H > 0, H_yy < 0, both alphas above the 10 XATOL boundary cut that
-    ``solve_mode`` applies), i.e. a local maximum.
+    (det H > 0, H_yy < 0, both alphas above ALPHA_CUT), i.e. a local
+    maximum.
     """
     lam, n_b, dn, ay, az = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in
@@ -128,20 +136,21 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
     cy = 1.0 / (k0 * width_w) ** 2
     cz = 3.0 / (k0 * depth_h) ** 2
     c = 8.0 * n_b * dn
+    ky, kz = -2.0 * cy, -2.0 * cz
     ay, az = ay.copy(), az.copy()
 
     def derivatives():
         sy = 2.0 * ay**2 + 1.0
         sz = 2.0 * az**2 + 1.0
-        f = ay / np.sqrt(sy)
-        f1 = sy**-1.5
+        cf = c * (ay / np.sqrt(sy))  # c f
+        cf1 = c * sy**-1.5  # c f'
         g = az**3 * sz**-1.5
         g1 = 3.0 * az**2 * sz**-2.5
-        grad_y = -2.0 * cy * ay + c * f1 * g
-        grad_z = -2.0 * cz * az + c * f * g1
-        h_yy = -2.0 * cy + c * (-6.0 * ay * sy**-2.5) * g
-        h_zz = -2.0 * cz + c * f * (6.0 * az * (1.0 - 3.0 * az**2) * sz**-3.5)
-        h_yz = c * f1 * g1
+        grad_y = ky * ay + cf1 * g
+        grad_z = kz * az + cf * g1
+        h_yy = ky + c * (-6.0 * ay * sy**-2.5) * g
+        h_zz = kz + cf * (6.0 * az * (1.0 - 3.0 * az**2) * sz**-3.5)
+        h_yz = cf1 * g1
         return grad_y, grad_z, h_yy, h_zz, h_yz
 
     with np.errstate(all="ignore"):
@@ -151,33 +160,40 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
             det = h_yy * h_zz - h_yz**2
             step_y = (h_yz * grad_z - h_zz * grad_y) / det
             step_z = (h_yz * grad_y - h_yy * grad_z) / det
+            # no step more than halves a positive seed's alphas, and with
+            # both alphas positive H_yy < 0, so det H > 0 means concave
+            unsafe = (det <= 0.0) | (np.minimum(step_y / ay, step_z / az) <= -0.5)
+            if unsafe.any():
+                step_y[unsafe], step_z[unsafe] = _ascent_step(
+                    ay[unsafe], az[unsafe], grad_y[unsafe], grad_z[unsafe],
+                    h_yy[unsafe], h_zz[unsafe], h_yz[unsafe])
             ay += step_y
             az += step_z
-            settled = ((np.abs(step_y) <= NEWTON_TOL * (1.0 + np.abs(ay)))
-                       & (np.abs(step_z) <= NEWTON_TOL * (1.0 + np.abs(az))))
+            settled = ((np.abs(step_y) <= NEWTON_TOL * (1.0 + ay))
+                       & (np.abs(step_z) <= NEWTON_TOL * (1.0 + az)))
             # a point that went non-finite cannot recover; stop waiting for it
             if np.all(settled | ~np.isfinite(ay + az)):
                 break
         _, _, h_yy, h_zz, h_yz = derivatives()
-        accepted = (settled & (ay > 10.0 * XATOL) & (az > 10.0 * XATOL)
+        accepted = (settled & (ay > ALPHA_CUT) & (az > ALPHA_CUT)
                     & (h_yy * h_zz - h_yz**2 > 0.0) & (h_yy < 0.0))
     return ay, az, accepted
 
 
-def _nelder_mead(seed, width_w, depth_h, n_b, delta_n, wavelength_nm):
-    """Nelder-Mead maximization of the closed form from one seed."""
-
-    def neg(x):
-        if x[0] <= 0.0 or x[1] <= 0.0:
-            return np.inf
-        return -neff_closed_form(x[0], x[1], width_w, depth_h, n_b, delta_n,
-                                 wavelength_nm)
-
-    res = optimize.minimize(
-        neg, seed, method="Nelder-Mead",
-        options=dict(xatol=XATOL, fatol=1e-18, maxiter=20000, maxfev=20000),
-    )
-    return res.x
+def _ascent_step(ay, az, grad_y, grad_z, h_yy, h_zz, h_yz):
+    """|H|^-1 grad, shortened so that no alpha more than halves. The Hessian
+    [[h_yy, h_yz], [h_yz, h_zz]] has the eigenvalues mean +- radius along
+    (cos t, sin t) and (-sin t, cos t)."""
+    mean = 0.5 * (h_yy + h_zz)
+    radius = np.hypot(0.5 * (h_yy - h_zz), h_yz)
+    t = 0.5 * np.arctan2(2.0 * h_yz, h_yy - h_zz)
+    cos, sin = np.cos(t), np.sin(t)
+    along_1 = (cos * grad_y + sin * grad_z) / np.abs(mean + radius)
+    along_2 = (cos * grad_z - sin * grad_y) / np.abs(mean - radius)
+    step_y = cos * along_1 - sin * along_2
+    step_z = sin * along_1 + cos * along_2
+    scale = 0.5 / np.maximum(0.5, np.maximum(-step_y / ay, -step_z / az))
+    return scale * step_y, scale * step_z
 
 
 def _grid_values(n, alpha_range, width_w, depth_h, n_b, delta_n, wavelength_nm):
@@ -245,11 +261,12 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     ``n_b``, ``delta_n`` and ``wavelength_nm`` broadcast: scalars give a
     ModalSolution of plain numbers, arrays one whose numeric fields (and
     field alphas) are arrays of the broadcast shape. Every point is seeded
-    from the seed grids, all seeds are refined together by Newton, and the
-    points Newton rejects by Nelder-Mead.
+    from the seed grids and all seeds are refined together by ``_newton``.
 
     Raises NoGuidedMode, naming the first such point, where no interior
-    stationary point exists (e.g. delta_n = 0) or n_eff^2 is not positive
+    maximum exists (e.g. delta_n = 0; no strict grid peak, or a seed
+    ``_newton`` does not settle on a concave interior point, such as one
+    that slides onto the alpha -> 0 boundary) or n_eff^2 is not positive
     there. An interior maximum that fails to exceed the substrate index is
     returned flagged ``guided=False``: such a mode is only quasi-guided, but
     near-cutoff geometries still support the nonlinear interaction through
@@ -272,12 +289,8 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     if not found.all():
         fail(~found, "no interior maximum of n_eff^2")
     ay, az, accepted = _newton(w, h, n_b, dn, lam, seed_y, seed_z)
-    for k in np.flatnonzero(~accepted):
-        ay[k], az[k] = _nelder_mead((seed_y[k], seed_z[k]), w, h, n_b[k], dn[k], lam[k])
-    # a refinement that slid onto the alpha -> 0 boundary is no interior maximum
-    inside = np.minimum(ay, az) >= 10.0 * XATOL
-    if not inside.all():
-        fail(~inside, "no interior maximum of n_eff^2")
+    if not accepted.all():
+        fail(~accepted, "no interior maximum of n_eff^2")
     neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
     if not np.all(neff2 > 0.0):
         fail(~(neff2 > 0.0), "effective index squared non-positive at the optimum")

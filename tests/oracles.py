@@ -1,11 +1,13 @@
 """Independent numerical oracles for the closed forms in ``qpmdesign``.
 
 The trial field and the index profile in (y, z), adaptive 2-D quadrature of
-the variational functional and of the overlap integral, the zero-mismatch
-amplitude ratio written directly in the variational parameters, a group
-index that re-solves the mode around its wavelength, a per-sample loop of
-cold mode solves that the batched spectra and filtered gamma are checked
-against, and a flip-by-flip poling-pattern synthesis. They exist only to
+the variational functional and of the overlap integral, a Nelder-Mead
+maximization of the closed form that the mode solver's Newton refinement is
+checked against, the zero-mismatch amplitude ratio written directly in the
+variational parameters, a group index that re-solves the mode around its
+wavelength, a per-sample loop of cold mode solves that the batched spectra
+and filtered gamma are checked against, and a flip-by-flip poling-pattern
+synthesis. They exist only to
 check the package's closed forms and fast paths.
 """
 
@@ -15,14 +17,20 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from qpmdesign import modesolver
 from qpmdesign.dispersion import WaveguideGeometry
-from qpmdesign.errors import QuadratureFailure
-from qpmdesign.modesolver import ModalSolution, TrialField
+from qpmdesign.modesolver import ModalSolution, TrialField, neff_closed_form
 from qpmdesign.qpm import COINCIDENCE_TOL_UM, GratingDesign, PolingPattern
 from qpmdesign.spdc import ProcessAmplitudes, fwhm, relative_amplitudes, spectrum
+
+# Nelder-Mead termination tolerance on the alphas.
+XATOL = 1e-9
+
+
+class QuadratureFailure(Exception):
+    """Adaptive quadrature could not reach the requested tolerance."""
 
 
 def _norm(field: TrialField) -> float:
@@ -129,6 +137,35 @@ def overlap_integral_quadrature(pump: TrialField, a: TrialField, b: TrialField,
             f"overlap quadrature error {err:.2e} above tolerance {tol:.2e}"
         )
     return val
+
+
+def nelder_mead(seed, width_w, depth_h, n_b, delta_n, wavelength_nm):
+    """Nelder-Mead maximization of the closed form from one seed."""
+
+    def neg(x):
+        if x[0] <= 0.0 or x[1] <= 0.0:
+            return np.inf
+        return -neff_closed_form(x[0], x[1], width_w, depth_h, n_b, delta_n,
+                                 wavelength_nm)
+
+    res = optimize.minimize(
+        neg, seed, method="Nelder-Mead",
+        options=dict(xatol=XATOL, fatol=1e-18, maxiter=20000, maxfev=20000),
+    )
+    return res.x
+
+
+def reference_mode(ctx, polarization: str, wavelength_nm: float):
+    """(n_eff, alpha_y, alpha_z, guided) at one wavelength: ``solve_mode``'s
+    grid seed, refined by ``nelder_mead`` instead of Newton."""
+    n_b, dn = ctx.indices(polarization, wavelength_nm)
+    w, h = ctx.geometry.width_w, ctx.geometry.depth_h
+    seed_y, seed_z, found = modesolver._seeds(
+        w, h, *(np.array([x]) for x in (n_b, dn, wavelength_nm)))
+    assert found[0], "no strict peak on the seed grids"
+    ay, az = nelder_mead((seed_y[0], seed_z[0]), w, h, n_b, dn, wavelength_nm)
+    n_eff = math.sqrt(neff_closed_form(ay, az, w, h, n_b, dn, wavelength_nm))
+    return n_eff, ay, az, n_eff > n_b + modesolver.GUIDED_MARGIN
 
 
 def amplitude_ratio_closed_form(po: ModalSolution, so: ModalSolution,

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import qpmdesign
 from qpmdesign import config
 from qpmdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, main
 
@@ -140,6 +145,22 @@ def test_design_request_validates_and_loads_once(monkeypatch, capsys):
                         counted("validate", config.DesignConfig.validate))
     assert main(["design", "--temperature", "30"]) == EXIT_OK
     assert calls == {"load_sellmeier_sets": 1, "validate": 1}
+
+
+def test_design_request_loads_no_scipy():
+    """The package runs on numpy alone: a design request in a fresh
+    interpreter leaves no scipy module loaded."""
+    code = ("import sys\n"
+            "from qpmdesign.cli import main\n"
+            "assert main(['design']) == 0\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr)\n")
+    src = str(Path(qpmdesign.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
 
 
 class TestDumpConfig:

@@ -122,6 +122,20 @@ def test_tiny_geometry_raises():
         solve_mode(WaveguideGeometry(0.8, 0.8), NB, DN, LAM)
 
 
+@pytest.mark.parametrize("pol, lam", [
+    ("ordinary", 1576.0), ("ordinary", 1585.0), ("ordinary", 1590.0),
+    ("ordinary", 1599.0), ("extraordinary", 1552.0),
+    ("extraordinary", 1560.0), ("extraordinary", 1574.0),
+])
+def test_plane_wave_limit_is_no_mode(material, pol, lam):
+    """Past cutoff of a 3.06 x 8.66 um guide the seed grid shows a peak, but
+    the ascent from it slides onto the alpha -> 0 boundary: the plane-wave
+    limit with n_eff == n_b, which is no mode."""
+    ctx = ModeContext(material, WaveguideGeometry(3.06, 8.66))
+    with pytest.raises(NoGuidedMode, match="no interior maximum"):
+        ctx.solve(pol, lam)
+
+
 def test_variational_bound():
     sol = solve_mode(GEOM, NB, DN, LAM)
     best = sol.n_eff**2
