@@ -2,7 +2,8 @@
 
 Subcommands: design | sweep | spectrum | grating. Exit codes: 0 success,
 1 configuration error, 2 physics infeasibility (no guided mode, degenerate
-grating). CSV output uses 6 significant digits; JSON carries full precision.
+grating). CSV output uses 6 significant digits, except the poling pattern,
+whose positions round-trip; JSON carries full precision.
 """
 
 from __future__ import annotations

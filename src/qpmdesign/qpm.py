@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,10 @@ TWO_PI = 2.0 * math.pi
 ENERGY_SNAP_RTOL = 1e-4
 # Flips of the two square waves closer than this (um) coincide and cancel.
 COINCIDENCE_TOL_UM = 1e-9
+# Most flips a synthesized pattern may have. 10^6 flips are about 1.8 m of
+# the reference grating (Lambda0 = 4.06 um, Lambdap = 36.1 um) and some
+# 40 MB of boundaries; a longer pattern is refused before it is allocated.
+MAX_PATTERN_FLIPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,21 @@ class PolingPattern:
     """Piecewise-constant +-1 sign pattern over [0, L].
 
     ``domain_boundaries`` lists the positions where the sign flips, strictly
-    increasing within (0, length_um).
+    increasing within (0, length_um). A pattern from ``synthesize_pattern``
+    also carries the half periods (Lambda0/2, Lambdap/2) of the two square
+    waves it is the product of, and ``flip_runs``, the sign jumps grouped
+    for ``fourier_component``: ``(x_um, count, weight)`` arrays, where run i
+    is ``count[i]`` jumps Lambda0/2 apart from ``x_um[i]``, of alternating
+    sign and first weight ``weight[i]`` (2 s(x+) at a flip; the facets enter
+    as single jumps s(0+) at 0 and -s(L-) at L).
     """
 
     domain_boundaries: tuple[float, ...]
     length_um: float
     initial_sign: int = 1
+    half_periods_um: tuple[float, float] | None = None
+    flip_runs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         b = self.domain_boundaries
@@ -184,7 +197,8 @@ def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern
 
     Each square wave flips at integer multiples of its half period; a
     coincident flip of both waves (within COINCIDENCE_TOL_UM) leaves the
-    product sign unchanged and is dropped.
+    product sign unchanged and is dropped. A pattern of more than
+    MAX_PATTERN_FLIPS flips is refused with ConfigError.
     """
     length_um = length_mm * 1e3
     if length_um <= design.Lambdap:
@@ -194,52 +208,108 @@ def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern
         )
     half0 = design.Lambda0 / 2.0
     halfp = design.Lambdap / 2.0
-    flips0 = np.arange(half0, length_um, half0)
-    flipsp = np.arange(halfp, length_um, halfp)
-    merged = np.sort(np.concatenate([flips0, flipsp]))
+    n_flips = length_um / half0 + length_um / halfp
+    if not n_flips <= MAX_PATTERN_FLIPS:
+        raise ConfigError(
+            f"interaction length {length_mm} mm needs {n_flips:.3g} domain flips, "
+            f"more than the {MAX_PATTERN_FLIPS} a pattern may have"
+        )
     # a flip at (or within tolerance of) the end facet has no effect;
     # np.arange can also emit the stop value itself through rounding
-    merged = merged[merged < length_um - COINCIDENCE_TOL_UM]
+    end = length_um - COINCIDENCE_TOL_UM
+    flips0 = np.arange(half0, length_um, half0)
+    flips0 = flips0[flips0 < end]
+    flipsp = np.arange(halfp, length_um, halfp)
+    flipsp = flipsp[flipsp < end]
     # a simultaneous flip of both waves leaves the sign unchanged: drop both
-    # flips of each coincident pair (both half periods are far above the
-    # tolerance, so pairs cannot chain)
-    pair = np.diff(merged) <= COINCIDENCE_TOL_UM
-    drop = np.zeros(len(merged), dtype=bool)
-    drop[:-1] |= pair
-    drop[1:] |= pair
-    return PolingPattern(domain_boundaries=tuple(merged[~drop].tolist()),
-                         length_um=length_um)
+    # flips of each coincident pair. Both half periods are far above the
+    # tolerance, so a modulation flip can only pair with the carrier flips
+    # on either side of it; first[m] indexes the one at or after flipsp[m].
+    n0 = len(flips0)
+    first = np.searchsorted(flips0, flipsp)
+    pair_after = (first < n0) & (flips0[np.minimum(first, n0 - 1)] - flipsp
+                                 <= COINCIDENCE_TOL_UM)
+    pair_before = (first > 0) & (flipsp - flips0[first - 1] <= COINCIDENCE_TOL_UM)
+    keep0 = np.ones(n0, dtype=bool)
+    keep0[first[pair_after]] = False
+    keep0[first[pair_before] - 1] = False
+    keepp = ~(pair_after | pair_before)
+    boundaries = np.sort(np.concatenate([flips0[keep0], flipsp[keepp]]))
+    # Flip runs for fourier_component. The sign after a flip is (-1)^(flips
+    # up to it), a dropped pair counting twice. Run m holds the kept carrier
+    # flips between modulation flips m - 1 and m, so the one at carrier
+    # index i follows i + 1 carrier and m modulation flips; modulation flip
+    # m follows first[m] carrier and m + 1 modulation flips.
+    start = np.concatenate([[0], first + pair_after])
+    count = np.concatenate([first - pair_before, [n0]]) - start
+    run_sign = (-1.0) ** (start + 1 + np.arange(len(start)))
+    flip_sign = (-1.0) ** (first + 1 + np.arange(len(flipsp)))
+    run = count > 0
+    n_kept = int(np.count_nonzero(keepp))
+    flip_runs = (
+        np.concatenate([[0.0], flips0[start[run]], flipsp[keepp], [length_um]]),
+        np.concatenate([[1], count[run], np.ones(n_kept, dtype=int), [1]]),
+        np.concatenate([[1.0], 2.0 * run_sign[run], 2.0 * flip_sign[keepp],
+                        [-((-1.0) ** len(boundaries))]]),
+    )
+    return PolingPattern(domain_boundaries=tuple(boundaries.tolist()),
+                         length_um=length_um, half_periods_um=(half0, halfp),
+                         flip_runs=flip_runs)
 
 
 def fourier_component(pattern: PolingPattern, K: float) -> complex:
     """Normalized Fourier amplitude (1/L) int_0^L sign(x) exp(-iKx) dx.
 
-    Evaluated exactly piecewise over the constant-sign domains, no sampling.
-    At K = K1 or K2 over an integer number of modulation periods the
-    magnitude approaches 4/pi^2, with opposite signs for the two components.
+    Exact, no sampling. By parts the integral is (1/(iK)) sum_j w_j
+    exp(-iK x_j) over the sign jumps w_j at x_j, both facets included
+    (see ``PolingPattern``). Along a run of carrier flips the terms form a
+    geometric series in r = -exp(-iK Lambda0/2) = exp(-i phi), summed in
+    closed (Dirichlet-kernel) form, so one K costs one exponential per run
+    and per modulation flip: O(L/Lambdap) instead of O(L/Lambda0). At
+    K = K1 or K2 over an integer number of modulation periods the
+    magnitude approaches 4/pi^2, with opposite signs for the two
+    components. Needs a pattern from ``synthesize_pattern``.
     """
-    edges = np.concatenate([[0.0], pattern.domain_boundaries, [pattern.length_um]])
-    signs = pattern.initial_sign * (-1.0) ** np.arange(len(edges) - 1)
+    if pattern.flip_runs is None:
+        raise ConfigError("fourier_component needs a pattern from synthesize_pattern")
+    x, count, weight = pattern.flip_runs
+    half0 = pattern.half_periods_um[0]
     if K == 0.0:
-        return complex(np.sum(signs * np.diff(edges)) / pattern.length_um)
-    phase = np.exp(-1j * K * edges)
-    segments = signs * (phase[:-1] - phase[1:]) / (1j * K)
-    return complex(np.sum(segments) / pattern.length_um)
+        # the mean sign, -(1/L) sum_j w_j x_j; along a run, sum (-1)^n over
+        # n < count is count % 2 and sum n (-1)^n is (count - 1)/2 or -count/2
+        odd = count % 2
+        lever = np.where(odd, (count - 1) // 2, -(count // 2))
+        return complex(-np.sum(weight * (x * odd + half0 * lever)) / pattern.length_um)
+    # sum_{n < N} r^n = exp(-i (N - 1) phi/2) sin(N phi/2) / sin(phi/2), for
+    # each run length N. phi is reduced to [-pi, pi] before it is halved, so
+    # that sin(phi/2) keeps its relative accuracy at the carrier harmonics
+    # K = (2j + 1) K0, where r = 1. The factor is tabulated and multiplies
+    # exp(-iKx) instead of entering its argument: added to K x, the few
+    # distinct (N - 1) phi/2 round the same way in every run, a bias that
+    # the coherent sum at a peak amplifies to ~6e-13.
+    half_phi = 0.5 * math.remainder(K * half0 - math.pi, TWO_PI)
+    sin_half = math.sin(half_phi)
+    lengths = np.arange(count.max() + 1)
+    dirichlet = lengths if sin_half == 0.0 else np.sin(half_phi * lengths) / sin_half
+    kernel = dirichlet * np.exp(-1j * half_phi * (lengths - 1))
+    terms = weight * kernel[count] * np.exp(-1j * K * x)
+    return complex(np.sum(terms) / (1j * K * pattern.length_um))
 
 
 def export_pattern_csv(pattern: PolingPattern, design: GratingDesign, path) -> None:
     """CSV export: (boundary_index, x_um, sign_after_boundary).
 
     Header comments record the carrier/modulation periods and total length.
+    Positions and lengths are written at round-trip precision (``repr``).
     """
     with open(path, "w", newline="") as fh:
-        fh.write(f"# Lambda0_um = {design.Lambda0:.6g}\n")
-        fh.write(f"# Lambdap_um = {design.Lambdap:.6g}\n")
-        fh.write(f"# length_um = {pattern.length_um:.6g}\n")
+        fh.write(f"# Lambda0_um = {float(design.Lambda0)!r}\n")
+        fh.write(f"# Lambdap_um = {float(design.Lambdap)!r}\n")
+        fh.write(f"# length_um = {float(pattern.length_um)!r}\n")
         fh.write(f"# initial_sign = {pattern.initial_sign}\n")
         writer = csv.writer(fh)
         writer.writerow(["boundary_index", "x_um", "sign_after_boundary"])
         sign = pattern.initial_sign
         for i, x in enumerate(pattern.domain_boundaries):
             sign = -sign
-            writer.writerow([i, f"{x:.6g}", sign])
+            writer.writerow([i, repr(x), sign])

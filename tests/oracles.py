@@ -6,9 +6,9 @@ maximization of the closed form that the mode solver's Newton refinement is
 checked against, the zero-mismatch amplitude ratio written directly in the
 variational parameters, a group index that re-solves the mode around its
 wavelength, a per-sample loop of cold mode solves that the batched spectra
-and filtered gamma are checked against, and a flip-by-flip poling-pattern
-synthesis. They exist only to
-check the package's closed forms and fast paths.
+and filtered gamma are checked against, a flip-by-flip poling-pattern
+synthesis, and a Fourier component summed one domain edge at a time. They
+exist only to check the package's closed forms and fast paths.
 """
 
 from __future__ import annotations
@@ -271,3 +271,16 @@ def reference_boundaries(design: GratingDesign, length_mm: float) -> tuple[float
             boundaries.append(float(merged[i]))
             i += 1
     return tuple(boundaries)
+
+
+def reference_fourier_component(pattern: PolingPattern, K: float) -> complex:
+    """``fourier_component`` one domain at a time: (1/L) times the exact
+    integral of sign(x) exp(-iKx) over each constant-sign domain, one complex
+    exponential per domain edge."""
+    edges = np.concatenate([[0.0], pattern.domain_boundaries, [pattern.length_um]])
+    signs = pattern.initial_sign * (-1.0) ** np.arange(len(edges) - 1)
+    if K == 0.0:
+        return complex(np.sum(signs * np.diff(edges)) / pattern.length_um)
+    phase = np.exp(-1j * K * edges)
+    segments = signs * (phase[:-1] - phase[1:]) / (1j * K)
+    return complex(np.sum(segments) / pattern.length_um)

@@ -251,28 +251,31 @@ class TestSpectrum:
         assert "warning" not in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("args", [
-        pytest.param(["--samples", "0"], id="samples=0"),
-        pytest.param(["--samples", "1"], id="samples=1"),
-        pytest.param(["--samples", "2"], id="samples=2"),
-        pytest.param(["--half-range-nm", "0"], id="half-range=0"),
-        pytest.param(["--half-range-nm", "-2"], id="half-range=-2"),
+    @pytest.mark.parametrize("command, args", [
+        pytest.param("spectrum", ["--samples", "0"], id="samples=0"),
+        pytest.param("spectrum", ["--samples", "1"], id="samples=1"),
+        pytest.param("spectrum", ["--samples", "2"], id="samples=2"),
+        pytest.param("spectrum", ["--half-range-nm", "0"], id="half-range=0"),
+        pytest.param("spectrum", ["--half-range-nm", "-2"], id="half-range=-2"),
         # valid arguments, but the window misses both half-maximum crossings
-        pytest.param(["--half-range-nm", "1", "--samples", "21"],
+        pytest.param("spectrum", ["--half-range-nm", "1", "--samples", "21"],
                      id="half-range=1,samples=21"),
         # the window reaches down to or past the pump wavelength
-        pytest.param(["--half-range-nm", "1000"], id="half-range=1000"),
-        pytest.param(["--half-range-nm", "300", "--samples", "11"],
+        pytest.param("spectrum", ["--half-range-nm", "1000"], id="half-range=1000"),
+        pytest.param("spectrum", ["--half-range-nm", "300", "--samples", "11"],
                      id="half-range=300,samples=11"),
+        # a poling pattern too long to allocate
+        pytest.param("grating", ["--length-mm", "1e12"], id="grating,length=1e12"),
     ])
-    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, recwarn, args):
+    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, recwarn,
+                                             command, args):
         out = tmp_path / "run"
-        assert main(["spectrum", "--out", str(out), *args]) == EXIT_CONFIG
+        assert main([command, "--out", str(out), *args]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "Warning" not in err and not recwarn.list
         assert err.startswith(("config error:", "error:"))
-        assert not (out / "spectrum.csv").exists()
+        assert not any(out.glob("*.csv"))
 
 
 class TestGrating:

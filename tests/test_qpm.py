@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from qpmdesign import (
 )
 from qpmdesign.qpm import GratingDesign, PolingPattern, export_pattern_csv
 
-from oracles import reference_boundaries, sign_at
+from oracles import reference_boundaries, reference_fourier_component, sign_at
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,6 +115,19 @@ def commensurate_design(lambda0=2.0, lambdap=6.0):
     return periods_from_frequencies(k0 + kp, k0 - kp)
 
 
+def flip_reference_cases():
+    """(design, length_mm) pairs: 60 seeded designs, and the commensurate
+    Lambdap/Lambda0 = 9 and 71/8 at 10 and 50 mm."""
+    rng = np.random.default_rng(2024)
+    cases = [(commensurate_design(lambda0, lambda0 * ratio), length)
+             for lambda0, ratio, length in zip(rng.uniform(3.5, 4.5, 60),
+                                               rng.uniform(4.0, 20.0, 60),
+                                               rng.uniform(1.0, 50.0, 60))]
+    commensurate = [(commensurate_design(4.1, 4.1 * ratio), length)
+                    for ratio in (9.0, 71.0 / 8.0) for length in (10.0, 50.0)]
+    return cases, commensurate
+
+
 class TestPattern:
     def test_signs_near_origin_and_first_carrier_flip(self):
         design = commensurate_design()
@@ -134,13 +149,7 @@ class TestPattern:
         """Equal boundaries on seeded designs and on the commensurate
         Lambdap/Lambda0 = 9 and 71/8 (near the design table's ratio), where
         flip pairs coincide and are dropped."""
-        rng = np.random.default_rng(2024)
-        cases = [(commensurate_design(lambda0, lambda0 * ratio), length)
-                 for lambda0, ratio, length in zip(rng.uniform(3.5, 4.5, 60),
-                                                   rng.uniform(4.0, 20.0, 60),
-                                                   rng.uniform(1.0, 50.0, 60))]
-        commensurate = [(commensurate_design(4.1, 4.1 * ratio), length)
-                        for ratio in (9.0, 71.0 / 8.0) for length in (10.0, 50.0)]
+        cases, commensurate = flip_reference_cases()
         for design, length in cases + commensurate:
             pattern = synthesize_pattern(design, length)
             assert pattern.domain_boundaries == reference_boundaries(design, length)
@@ -165,6 +174,12 @@ class TestPattern:
         design = commensurate_design()
         with pytest.raises(ConfigError):
             synthesize_pattern(design, length_mm=0.004)
+
+    def test_too_many_flips_rejected(self):
+        design = periods_from_frequencies(TWO_PI / 4.579, TWO_PI / 3.652)
+        flips = 2e6 * (2.0 / design.Lambda0 + 2.0 / design.Lambdap)
+        with pytest.raises(ConfigError, match=re.escape(f"needs {flips:.3g} domain flips")):
+            synthesize_pattern(design, length_mm=2e3)
 
 
 class TestFourier:
@@ -201,6 +216,27 @@ class TestFourier:
             exact = fourier_component(self.pattern, float(freqs[idx]))
             assert abs(spectrum[idx]) == pytest.approx(abs(exact), rel=1e-3)
 
+    def test_matches_per_edge_reference(self):
+        """The closed-form sum agrees with the per-edge sum on the designs of
+        test_matches_flip_by_flip_reference, at K = 0, the carrier harmonics
+        K0, 2 K0 and 3 K0 (r = 1 at the odd ones), K0 +- Kp and a seeded
+        spread of K on both sides of zero."""
+        rng = np.random.default_rng(8)
+        cases, commensurate = flip_reference_cases()
+        for design, length in cases + commensurate:
+            pattern = synthesize_pattern(design, length)
+            k0 = TWO_PI / design.Lambda0
+            kp = TWO_PI / design.Lambdap
+            spread = rng.uniform(-4.0 * k0, 4.0 * k0, 4)
+            for k in (0.0, k0, 2.0 * k0, 3.0 * k0, k0 + kp, k0 - kp, *spread):
+                exact = reference_fourier_component(pattern, float(k))
+                assert abs(fourier_component(pattern, float(k)) - exact) < 1e-12
+
+    def test_hand_built_pattern_has_no_fourier_component(self):
+        pattern = PolingPattern(domain_boundaries=(1.0, 2.0), length_um=10.0)
+        with pytest.raises(ConfigError, match="synthesize_pattern"):
+            fourier_component(pattern, 1.0)
+
     def test_spectral_support_odd_orders_only(self):
         # commensurate case with K0 = 4 Kp: components n K0 + m Kp (n, m odd)
         # land on odd multiples of Kp, so every even multiple must vanish
@@ -214,12 +250,25 @@ class TestFourier:
 
 
 def test_export_pattern_csv(tmp_path):
-    design = commensurate_design()
-    pattern = synthesize_pattern(design, length_mm=0.06)
-    path = tmp_path / "pattern.csv"
-    export_pattern_csv(pattern, design, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# Lambda0_um")
-    header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    assert lines[header_idx] == "boundary_index,x_um,sign_after_boundary"
-    assert len(lines) == header_idx + 1 + len(pattern.domain_boundaries)
+    cases = [
+        (commensurate_design(), 0.06),
+        # reference periods: at 6 significant digits the boundaries of this
+        # pattern came back duplicated or out of order
+        (periods_from_frequencies(TWO_PI / 4.579, TWO_PI / 3.652), 10.0),
+    ]
+    for design, length_mm in cases:
+        pattern = synthesize_pattern(design, length_mm=length_mm)
+        path = tmp_path / "pattern.csv"
+        export_pattern_csv(pattern, design, path)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# Lambda0_um")
+        header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        assert lines[header_idx] == "boundary_index,x_um,sign_after_boundary"
+        assert len(lines) == header_idx + 1 + len(pattern.domain_boundaries)
+        header = dict(l[2:].split(" = ") for l in lines[:header_idx])
+        assert float(header["Lambda0_um"]) == design.Lambda0
+        assert float(header["Lambdap_um"]) == design.Lambdap
+        assert float(header["length_um"]) == pattern.length_um
+        xs = tuple(float(row[1]) for row in csv.reader(lines[header_idx + 1:]))
+        assert xs == pattern.domain_boundaries
+        assert all(b > a for a, b in zip(xs, xs[1:]))
