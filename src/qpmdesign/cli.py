@@ -35,6 +35,9 @@ EXIT_PHYSICS = 2
 # Fewer samples than this above half maximum and a spectrum's FWHM, found
 # by linear interpolation between samples, is flagged as under-resolved.
 MIN_SAMPLES_ABOVE_HALF = 5
+# Most wavelength samples a spectrum may have: peak memory grows by about
+# 6 KB per sample (650 MiB at 10^5). A larger count is refused before any solve.
+MAX_SPECTRUM_SAMPLES = 10**5
 
 PHYSICS_ERRORS = (NoGuidedMode, NonPositiveFrequency, DegenerateModulation,
                   DegenerateGroupIndices)
@@ -74,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scan half-range around the design signal "
                              "wavelength (positive; must cover both FWHMs)")
     p_spec.add_argument("--samples", type=int, default=2001,
-                        help="number of wavelength samples (at least 3)")
+                        help=f"number of wavelength samples (3 to {MAX_SPECTRUM_SAMPLES})")
 
     p_grat = sub.add_parser("grating", help="synthesize the poling pattern")
     common(p_grat)
@@ -124,8 +127,9 @@ def cmd_sweep(cfg: DesignConfig, material: Material, args) -> int:
 
 
 def cmd_spectrum(cfg: DesignConfig, material: Material, args) -> int:
-    if args.samples < 3:
-        raise ConfigError(f"--samples must be at least 3, got {args.samples}")
+    if not 3 <= args.samples <= MAX_SPECTRUM_SAMPLES:
+        raise ConfigError(f"--samples must be between 3 and {MAX_SPECTRUM_SAMPLES}, "
+                          f"got {args.samples}")
     if not 0.0 < args.half_range_nm < math.inf:
         raise ConfigError(f"--half-range-nm must be positive and finite, "
                           f"got {args.half_range_nm}")
@@ -144,9 +148,11 @@ def cmd_spectrum(cfg: DesignConfig, material: Material, args) -> int:
             # above half maximum
             enough = math.ceil(2.0 * args.half_range_nm
                                * (MIN_SAMPLES_ABOVE_HALF + 1) / fwhm) + 1
+            advice = (f"use --samples {enough} or more" if enough <= MAX_SPECTRUM_SAMPLES
+                      else "narrow --half-range-nm")
             print(f"warning: the {name} peak is under-resolved (samples above "
                   f"half maximum: {above[name]}, want {MIN_SAMPLES_ABOVE_HALF}); "
-                  f"use --samples {enough} or more", file=sys.stderr)
+                  f"{advice}", file=sys.stderr)
     lines = [
         "# wavelengths in nm, intensities normalized to peak 1",
         f"# FWHM_oe_nm = {_fmt(f_oe)}",
@@ -188,7 +194,7 @@ def cmd_grating(cfg: DesignConfig, material: Material, args) -> int:
     else:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        export_pattern_csv(pattern, design, out / "poling_pattern.csv")
+        export_pattern_csv(pattern, out / "poling_pattern.csv")
         (out / "fourier_check.json").write_text(
             json.dumps(check, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out / 'poling_pattern.csv'} and {out / 'fourier_check.json'}")

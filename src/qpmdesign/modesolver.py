@@ -286,11 +286,11 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     if np.any(dn <= 0.0):
         fail(dn <= 0.0, "no index increment")
     seed_y, seed_z, found = _seeds(w, h, n_b, dn, lam)
-    if not found.all():
-        fail(~found, "no interior maximum of n_eff^2")
+    # Newton leaves an unseeded point at alpha = 0, unaccepted; one check of
+    # both stages names the first failing point, as element-wise solves would
     ay, az, accepted = _newton(w, h, n_b, dn, lam, seed_y, seed_z)
-    if not accepted.all():
-        fail(~accepted, "no interior maximum of n_eff^2")
+    if not (found & accepted).all():
+        fail(~(found & accepted), "no interior maximum of n_eff^2")
     neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
     if not np.all(neff2 > 0.0):
         fail(~(neff2 > 0.0), "effective index squared non-positive at the optimum")

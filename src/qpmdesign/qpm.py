@@ -106,35 +106,25 @@ class GratingDesign:
     Lambdap: float  # um
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolingPattern:
-    """Piecewise-constant +-1 sign pattern over [0, L].
+    """Piecewise-constant +-1 sign pattern over [0, L], as built by
+    ``synthesize_pattern``: the product of two 50%-duty square waves of half
+    periods ``half_periods_um`` = (Lambda0/2, Lambdap/2), sign +1 at x = 0.
 
-    ``domain_boundaries`` lists the positions where the sign flips, strictly
-    increasing within (0, length_um). A pattern from ``synthesize_pattern``
-    also carries the half periods (Lambda0/2, Lambdap/2) of the two square
-    waves it is the product of, and ``flip_runs``, the sign jumps grouped
-    for ``fourier_component``: ``(x_um, count, weight)`` arrays, where run i
-    is ``count[i]`` jumps Lambda0/2 apart from ``x_um[i]``, of alternating
-    sign and first weight ``weight[i]`` (2 s(x+) at a flip; the facets enter
-    as single jumps s(0+) at 0 and -s(L-) at L).
+    ``domain_boundaries`` is a read-only float64 array of the positions where
+    the sign flips, strictly increasing within (0, length_um). ``flip_runs``
+    holds the sign jumps grouped for ``fourier_component``: ``(x_um, count,
+    weight)`` arrays, where run i is ``count[i]`` jumps Lambda0/2 apart from
+    ``x_um[i]``, of alternating sign and first weight ``weight[i]`` (2 s(x+)
+    at a flip; the facets enter as single jumps s(0+) at 0 and -s(L-) at L).
+    Patterns compare by identity.
     """
 
-    domain_boundaries: tuple[float, ...]
+    domain_boundaries: np.ndarray
     length_um: float
-    initial_sign: int = 1
-    half_periods_um: tuple[float, float] | None = None
-    flip_runs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        b = self.domain_boundaries
-        if np.any(np.diff(b) <= 0.0):
-            raise ConfigError("domain boundaries must be strictly increasing")
-        if b and (b[0] <= 0.0 or b[-1] >= self.length_um):
-            raise ConfigError("domain boundaries must lie inside (0, L)")
-        if self.initial_sign not in (-1, 1):
-            raise ConfigError("initial sign must be +-1")
+    half_periods_um: tuple[float, float]
+    flip_runs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
 
 def phase_matching_k(spec: InteractionSpec, n_p, n_s, n_i, lambda_s_nm=None):
@@ -235,6 +225,7 @@ def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern
     keep0[first[pair_before] - 1] = False
     keepp = ~(pair_after | pair_before)
     boundaries = np.sort(np.concatenate([flips0[keep0], flipsp[keepp]]))
+    boundaries.flags.writeable = False
     # Flip runs for fourier_component. The sign after a flip is (-1)^(flips
     # up to it), a dropped pair counting twice. Run m holds the kept carrier
     # flips between modulation flips m - 1 and m, so the one at carrier
@@ -252,9 +243,8 @@ def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern
         np.concatenate([[1.0], 2.0 * run_sign[run], 2.0 * flip_sign[keepp],
                         [-((-1.0) ** len(boundaries))]]),
     )
-    return PolingPattern(domain_boundaries=tuple(boundaries.tolist()),
-                         length_um=length_um, half_periods_um=(half0, halfp),
-                         flip_runs=flip_runs)
+    return PolingPattern(domain_boundaries=boundaries, length_um=length_um,
+                         half_periods_um=(half0, halfp), flip_runs=flip_runs)
 
 
 def fourier_component(pattern: PolingPattern, K: float) -> complex:
@@ -268,10 +258,8 @@ def fourier_component(pattern: PolingPattern, K: float) -> complex:
     and per modulation flip: O(L/Lambdap) instead of O(L/Lambda0). At
     K = K1 or K2 over an integer number of modulation periods the
     magnitude approaches 4/pi^2, with opposite signs for the two
-    components. Needs a pattern from ``synthesize_pattern``.
+    components.
     """
-    if pattern.flip_runs is None:
-        raise ConfigError("fourier_component needs a pattern from synthesize_pattern")
     x, count, weight = pattern.flip_runs
     half0 = pattern.half_periods_um[0]
     if K == 0.0:
@@ -296,20 +284,19 @@ def fourier_component(pattern: PolingPattern, K: float) -> complex:
     return complex(np.sum(terms) / (1j * K * pattern.length_um))
 
 
-def export_pattern_csv(pattern: PolingPattern, design: GratingDesign, path) -> None:
+def export_pattern_csv(pattern: PolingPattern, path) -> None:
     """CSV export: (boundary_index, x_um, sign_after_boundary).
 
     Header comments record the carrier/modulation periods and total length.
     Positions and lengths are written at round-trip precision (``repr``).
     """
+    half0, halfp = pattern.half_periods_um
     with open(path, "w", newline="") as fh:
-        fh.write(f"# Lambda0_um = {float(design.Lambda0)!r}\n")
-        fh.write(f"# Lambdap_um = {float(design.Lambdap)!r}\n")
+        fh.write(f"# Lambda0_um = {float(2.0 * half0)!r}\n")
+        fh.write(f"# Lambdap_um = {float(2.0 * halfp)!r}\n")
         fh.write(f"# length_um = {float(pattern.length_um)!r}\n")
-        fh.write(f"# initial_sign = {pattern.initial_sign}\n")
+        fh.write("# initial_sign = 1\n")
         writer = csv.writer(fh)
         writer.writerow(["boundary_index", "x_um", "sign_after_boundary"])
-        sign = pattern.initial_sign
-        for i, x in enumerate(pattern.domain_boundaries):
-            sign = -sign
-            writer.writerow([i, repr(x), sign])
+        for i, x in enumerate(pattern.domain_boundaries.tolist()):
+            writer.writerow([i, repr(x), -1 if i % 2 == 0 else 1])

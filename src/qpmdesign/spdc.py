@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateGroupIndices,
     FilterTooWide,
     OutOfRange,
@@ -186,17 +187,20 @@ def filtered_gamma(amplitudes_at: Callable[..., ProcessAmplitudes],
     amplitude magnitude is averaged over that window and gamma is the
     min/max ratio of the averages. ``amplitudes_at`` maps a signal
     wavelength, or an array of them, to the amplitudes there; it is called
-    once. The filter must be narrower than the narrower process bandwidth,
-    otherwise bandwidth distinguishability is conflated and FilterTooWide is
-    raised.
+    once. A width of 0 gives the unfiltered gamma; a negative or non-finite
+    width raises ConfigError. The filter must be narrower than the narrower
+    process bandwidth, otherwise bandwidth distinguishability is conflated
+    and FilterTooWide is raised.
     """
+    if not 0.0 <= filter_fwhm_nm < math.inf:
+        raise ConfigError(f"filter width {filter_fwhm_nm} nm must be finite and not negative")
     narrow = min(bandwidth_oe_nm, bandwidth_eo_nm)
     if filter_fwhm_nm >= narrow:
         raise FilterTooWide(
             f"filter width {filter_fwhm_nm} nm not below the narrower process "
             f"bandwidth {narrow} nm"
         )
-    if filter_fwhm_nm <= 0.0:
+    if filter_fwhm_nm == 0.0:
         return gamma(amplitudes_at(design_lambda_s_nm))
     window = filter_fwhm_nm * conjugate_compression
     grid = np.linspace(design_lambda_s_nm - 0.5 * window,

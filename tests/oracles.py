@@ -88,9 +88,9 @@ def index_profile(geom: WaveguideGeometry, n_b: float, delta_n: float, y_um, z_u
 
 
 def sign_at(pattern: PolingPattern, x_um: float) -> int:
-    """Sign of the nonlinear coefficient at position x."""
+    """Sign of the nonlinear coefficient at position x (+1 at x = 0)."""
     flips = np.searchsorted(pattern.domain_boundaries, x_um, side="right")
-    return pattern.initial_sign * (1 if flips % 2 == 0 else -1)
+    return 1 if flips % 2 == 0 else -1
 
 
 def neff_quadrature(field: TrialField, profile: Callable[[float, float], float],
@@ -278,7 +278,7 @@ def reference_fourier_component(pattern: PolingPattern, K: float) -> complex:
     integral of sign(x) exp(-iKx) over each constant-sign domain, one complex
     exponential per domain edge."""
     edges = np.concatenate([[0.0], pattern.domain_boundaries, [pattern.length_um]])
-    signs = pattern.initial_sign * (-1.0) ** np.arange(len(edges) - 1)
+    signs = (-1.0) ** np.arange(len(edges) - 1)
     if K == 0.0:
         return complex(np.sum(signs * np.diff(edges)) / pattern.length_um)
     phase = np.exp(-1j * K * edges)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import qpmdesign
-from qpmdesign import config
-from qpmdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, main
+from qpmdesign import cli, config
+from qpmdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, MAX_SPECTRUM_SAMPLES, main
 
 
 PACKAGED_SELLMEIER = json.loads(resources.files("qpmdesign.data").joinpath(
@@ -250,11 +250,23 @@ class TestSpectrum:
                      "--samples", str(enough)]) == EXIT_OK
         assert "warning" not in capsys.readouterr().err
 
+    def test_under_resolved_warning_respects_sample_cap(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the count that would resolve the oe peak here is above 100
+        monkeypatch.setattr(cli, "MAX_SPECTRUM_SAMPLES", 100)
+        assert main(["spectrum", "--out", str(tmp_path), "--half-range-nm", "4",
+                     "--samples", "41"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "warning: the oe peak" in err
+        assert "--samples" not in err and "narrow --half-range-nm" in err
 
     @pytest.mark.parametrize("command, args", [
         pytest.param("spectrum", ["--samples", "0"], id="samples=0"),
         pytest.param("spectrum", ["--samples", "1"], id="samples=1"),
         pytest.param("spectrum", ["--samples", "2"], id="samples=2"),
+        # more samples than the spectrum's memory allows
+        pytest.param("spectrum", ["--samples", str(MAX_SPECTRUM_SAMPLES + 1)],
+                     id="samples=max+1"),
         pytest.param("spectrum", ["--half-range-nm", "0"], id="half-range=0"),
         pytest.param("spectrum", ["--half-range-nm", "-2"], id="half-range=-2"),
         # valid arguments, but the window misses both half-maximum crossings

@@ -16,7 +16,7 @@ from qpmdesign import (
     required_frequencies,
     synthesize_pattern,
 )
-from qpmdesign.qpm import GratingDesign, PolingPattern, export_pattern_csv
+from qpmdesign.qpm import export_pattern_csv
 
 from oracles import reference_boundaries, reference_fourier_component, sign_at
 
@@ -152,23 +152,24 @@ class TestPattern:
         cases, commensurate = flip_reference_cases()
         for design, length in cases + commensurate:
             pattern = synthesize_pattern(design, length)
-            assert pattern.domain_boundaries == reference_boundaries(design, length)
+            np.testing.assert_array_equal(pattern.domain_boundaries,
+                                          reference_boundaries(design, length),
+                                          strict=True)
         for design, length in commensurate:
             flips = (length * 1e3 / (design.Lambda0 / 2.0)
                      + length * 1e3 / (design.Lambdap / 2.0))
             assert len(synthesize_pattern(design, length).domain_boundaries) < flips - 2
 
-    @pytest.mark.parametrize("boundaries", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0, 2.0)])
-    def test_unordered_boundaries_rejected(self, boundaries):
-        with pytest.raises(ConfigError, match="strictly increasing"):
-            PolingPattern(domain_boundaries=boundaries, length_um=10.0)
-
     def test_boundaries_strictly_increasing(self):
-        design = commensurate_design(2.0, 7.0)
-        pattern = synthesize_pattern(design, length_mm=0.1)
-        b = pattern.domain_boundaries
-        assert all(x2 > x1 for x1, x2 in zip(b, b[1:]))
-        assert b[0] > 0 and b[-1] < pattern.length_um
+        """Read-only, strictly increasing and inside (0, L) on the designs of
+        test_matches_flip_by_flip_reference, dropped pairs included."""
+        cases, commensurate = flip_reference_cases()
+        for design, length in cases + commensurate:
+            pattern = synthesize_pattern(design, length)
+            b = pattern.domain_boundaries
+            assert b.dtype == np.float64 and not b.flags.writeable
+            assert np.all(np.diff(b) > 0.0)
+            assert b[0] > 0.0 and b[-1] < pattern.length_um
 
     def test_too_short_length_rejected(self):
         design = commensurate_design()
@@ -232,11 +233,6 @@ class TestFourier:
                 exact = reference_fourier_component(pattern, float(k))
                 assert abs(fourier_component(pattern, float(k)) - exact) < 1e-12
 
-    def test_hand_built_pattern_has_no_fourier_component(self):
-        pattern = PolingPattern(domain_boundaries=(1.0, 2.0), length_um=10.0)
-        with pytest.raises(ConfigError, match="synthesize_pattern"):
-            fourier_component(pattern, 1.0)
-
     def test_spectral_support_odd_orders_only(self):
         # commensurate case with K0 = 4 Kp: components n K0 + m Kp (n, m odd)
         # land on odd multiples of Kp, so every even multiple must vanish
@@ -259,7 +255,7 @@ def test_export_pattern_csv(tmp_path):
     for design, length_mm in cases:
         pattern = synthesize_pattern(design, length_mm=length_mm)
         path = tmp_path / "pattern.csv"
-        export_pattern_csv(pattern, design, path)
+        export_pattern_csv(pattern, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# Lambda0_um")
         header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
@@ -269,6 +265,8 @@ def test_export_pattern_csv(tmp_path):
         assert float(header["Lambda0_um"]) == design.Lambda0
         assert float(header["Lambdap_um"]) == design.Lambdap
         assert float(header["length_um"]) == pattern.length_um
-        xs = tuple(float(row[1]) for row in csv.reader(lines[header_idx + 1:]))
-        assert xs == pattern.domain_boundaries
+        rows = list(csv.reader(lines[header_idx + 1:]))
+        xs = np.array([float(row[1]) for row in rows])
+        np.testing.assert_array_equal(xs, pattern.domain_boundaries, strict=True)
         assert all(b > a for a, b in zip(xs, xs[1:]))
+        assert [int(row[2]) for row in rows] == [(-1) ** (i + 1) for i in range(len(rows))]

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qpmdesign import (
+    ConfigError,
     DegenerateGroupIndices,
     FilterTooWide,
     OutOfRange,
@@ -183,6 +185,11 @@ class TestFilteredGamma:
     def test_filter_as_wide_as_narrow_band_rejected(self, reference_result):
         with pytest.raises(FilterTooWide):
             reference_result.filtered_gamma(reference_result.bandwidth_oe_nm)
+
+    @pytest.mark.parametrize("width", [-0.5, -1e9, -math.inf, math.nan, math.inf])
+    def test_bad_filter_width_rejected(self, reference_result, width):
+        with pytest.raises(ConfigError, match=f"^filter width {re.escape(str(width))} nm"):
+            reference_result.filtered_gamma(width)
 
 
 class TestEfficiencyRatio:
