@@ -35,8 +35,9 @@ EXIT_PHYSICS = 2
 # Fewer samples than this above half maximum and a spectrum's FWHM, found
 # by linear interpolation between samples, is flagged as under-resolved.
 MIN_SAMPLES_ABOVE_HALF = 5
-# Most wavelength samples a spectrum may have: peak memory grows by about
-# 6 KB per sample (650 MiB at 10^5). A larger count is refused before any solve.
+# Most wavelength samples a spectrum may have, a bound on runtime and output
+# size; peak memory grows by about 0.4 KB per sample (36 MiB at 10^5). A
+# larger count is refused before any solve.
 MAX_SPECTRUM_SAMPLES = 10**5
 
 PHYSICS_ERRORS = (NoGuidedMode, NonPositiveFrequency, DegenerateModulation,
@@ -142,12 +143,14 @@ def cmd_spectrum(cfg: DesignConfig, material: Material, args) -> int:
     grid, i_oe, i_eo, f_oe, f_eo = result.spectra(args.half_range_nm, args.samples)
     above = {"oe": int(np.count_nonzero(i_oe >= 0.5)),
              "eo": int(np.count_nonzero(i_eo >= 0.5))}
-    for name, fwhm in (("oe", f_oe), ("eo", f_eo)):
+    for name, bandwidth in (("oe", result.bandwidth_oe_nm), ("eo", result.bandwidth_eo_nm)):
         if above[name] < MIN_SAMPLES_ABOVE_HALF:
             # spacing 2 H / (n - 1) at most FWHM / (MIN + 1) keeps MIN samples
-            # above half maximum
-            enough = math.ceil(2.0 * args.half_range_nm
-                               * (MIN_SAMPLES_ABOVE_HALF + 1) / fwhm) + 1
+            # above half maximum. The FWHM is 0.886x the first-order
+            # bandwidth; the sampled one of an under-resolved peak is about
+            # the spacing itself.
+            enough = math.ceil(2.0 * args.half_range_nm * (MIN_SAMPLES_ABOVE_HALF + 1)
+                               / (0.886 * bandwidth)) + 1
             advice = (f"use --samples {enough} or more" if enough <= MAX_SPECTRUM_SAMPLES
                       else "narrow --half-range-nm")
             print(f"warning: the {name} peak is under-resolved (samples above "

@@ -13,11 +13,12 @@ meaningful solution is the *interior* stationary point, which is what
 index the mode is only quasi-guided and is flagged as such.
 
 ``solve_mode`` is one batched kernel: it takes a wavelength (with its
-material indices) or arrays of them, seeds every point from the best strict
-peak of a coarse alpha grid (which also decides whether an interior maximum
-exists), and refines the seeds together by a safeguarded Newton iteration
-on the analytic stationarity equations. A point it cannot settle on a
-concave interior point has no interior maximum.
+material indices) or arrays of them, starts every point at alpha_y =
+alpha_z = 1, and runs a safeguarded Newton iteration on the analytic
+stationarity equations of all points together. The iteration alone decides
+existence: a point has a mode exactly when it settles on a concave interior
+point. Past cutoff the ascent halves both alphas every step toward the
+alpha -> 0 boundary and never settles.
 """
 
 from __future__ import annotations
@@ -30,13 +31,16 @@ import numpy as np
 from .dispersion import WaveguideGeometry
 from .errors import NoGuidedMode
 
-# Seed grids for the interior-maximum search, (points per axis, alpha range)
-# in both variational parameters; the second is tried only where the first
-# shows no peak. Newton stops once a step is below NEWTON_TOL (relative to
-# alpha) or after NEWTON_STEPS. A settled point with an alpha at or below
-# ALPHA_CUT is on the alpha -> 0 boundary, not an interior maximum.
-SEED_GRIDS = ((16, (0.2, 8.0)), (64, (0.05, 12.0)))
-NEWTON_STEPS = 40
+# Newton stops once a step is below NEWTON_TOL (relative to alpha) or after
+# NEWTON_STEPS. A settled point with an alpha at or below ALPHA_CUT is on the
+# alpha -> 0 boundary, not an interior maximum. A point past cutoff never
+# settles and runs all NEWTON_STEPS, so the limit sets the cost of every
+# failing solve. Steps to settle from the seed (1, 1) over 400,000 random
+# points (numpy seed 7; d, w in [2, 20] um; 500-540, 740-820 and 1450-1700
+# nm; both polarizations; 369,437 accepted), as steps: points:
+#   3-4: 927, 5: 28,252, 6: 97,220, 7: 96,870, 8: 127,081, 9: 19,023,
+#   10: 50, 11: 11, 12: 1, 13: 2.
+NEWTON_STEPS = 16
 NEWTON_TOL = 1e-13
 ALPHA_CUT = 1e-8
 # A mode whose n_eff exceeds n_b by no more than this is only quasi-guided.
@@ -196,81 +200,23 @@ def _ascent_step(ay, az, grad_y, grad_z, h_yy, h_zz, h_yz):
     return scale * step_y, scale * step_z
 
 
-def _grid_values(n, alpha_range, width_w, depth_h, n_b, delta_n, wavelength_nm):
-    """The closed form on an n x n alpha grid (the first two axes) at each of
-    a 1-D array of points (the last axis). Returns (grid, values)."""
-    grid = np.linspace(*alpha_range, n)
-    return grid, neff_closed_form(grid[:, None, None], grid[None, :, None],
-                                  width_w, depth_h, n_b, delta_n, wavelength_nm)
-
-
-def _strict_peaks(vals):
-    """mask[i, j, ...]: grid point (i + 1, j + 1) strictly dominates its 8
-    neighbors, which excludes the alpha -> 0 boundary ridge."""
-    n = len(vals)
-    interior = vals[1:-1, 1:-1]
-    is_peak = np.ones_like(interior, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            is_peak &= interior > vals[1 + di : n - 1 + di, 1 + dj : n - 1 + dj]
-    return is_peak
-
-
-def _seeds(width_w, depth_h, n_b, delta_n, wavelength_nm):
-    """Best strict grid peak of the first seed grid that shows one, per point
-    of 1-D arrays. Returns (alpha_y, alpha_z, found); a point without a peak
-    on any grid has no interior maximum.
-
-    The largest value off the first row and column (the alpha -> 0 edge,
-    where the boundary ridge peaks) is the best strict peak (ties aside)
-    when its 8 neighbors are off that edge too, so the full neighbor test
-    runs only on the rest.
-    """
-    m = len(wavelength_nm)
-    ay, az = np.zeros(m), np.zeros(m)
-    found = np.zeros(m, dtype=bool)
-    for n, alpha_range in SEED_GRIDS:
-        todo = np.flatnonzero(~found)
-        if not todo.size:
-            break
-        grid, vals = _grid_values(n, alpha_range, width_w, depth_h, n_b[todo],
-                                  delta_n[todo], wavelength_nm[todo])
-        off_edge = vals[1:, 1:].reshape((n - 1) ** 2, -1)
-        i, j = np.unravel_index(off_edge.argmax(axis=0), (n - 1, n - 1))
-        i, j = i + 1, j + 1
-        peak = (i > 1) & (i < n - 1) & (j > 1) & (j < n - 1)
-        rest = np.flatnonzero(~peak)
-        if rest.size:
-            strict = _strict_peaks(vals[..., rest])
-            scores = np.where(strict, vals[1:-1, 1:-1, rest], -np.inf)
-            best = scores.reshape((n - 2) ** 2, -1).argmax(axis=0)
-            best_i, best_j = np.unravel_index(best, (n - 2, n - 2))
-            i[rest], j[rest] = best_i + 1, best_j + 1
-            peak[rest] = strict.any(axis=(0, 1))
-        ay[todo[peak]], az[todo[peak]] = grid[i[peak]], grid[j[peak]]
-        found[todo] = peak
-    return ay, az, found
-
-
 def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
                polarization: str = "ordinary") -> ModalSolution:
     """Maximize the effective-index functional over (alpha_y, alpha_z).
 
     ``n_b``, ``delta_n`` and ``wavelength_nm`` broadcast: scalars give a
     ModalSolution of plain numbers, arrays one whose numeric fields (and
-    field alphas) are arrays of the broadcast shape. Every point is seeded
-    from the seed grids and all seeds are refined together by ``_newton``.
+    field alphas) are arrays of the broadcast shape. Every point starts at
+    alpha_y = alpha_z = 1 and all points are refined together by ``_newton``.
 
     Raises NoGuidedMode, naming the first such point, where no interior
-    maximum exists (e.g. delta_n = 0; no strict grid peak, or a seed
-    ``_newton`` does not settle on a concave interior point, such as one
-    that slides onto the alpha -> 0 boundary) or n_eff^2 is not positive
-    there. An interior maximum that fails to exceed the substrate index is
-    returned flagged ``guided=False``: such a mode is only quasi-guided, but
-    near-cutoff geometries still support the nonlinear interaction through
-    it.
+    maximum exists (delta_n <= 0, or ``_newton`` does not accept the point:
+    it does not settle on a concave interior point, as past cutoff, where
+    the ascent slides toward the alpha -> 0 boundary) or n_eff^2 is not
+    positive there. An interior maximum that fails to exceed the substrate
+    index is returned flagged ``guided=False``: such a mode is only
+    quasi-guided, but near-cutoff geometries still support the nonlinear
+    interaction through it.
     """
     lam, n_b, dn = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in
                                          (wavelength_nm, n_b, delta_n)))
@@ -285,12 +231,9 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
 
     if np.any(dn <= 0.0):
         fail(dn <= 0.0, "no index increment")
-    seed_y, seed_z, found = _seeds(w, h, n_b, dn, lam)
-    # Newton leaves an unseeded point at alpha = 0, unaccepted; one check of
-    # both stages names the first failing point, as element-wise solves would
-    ay, az, accepted = _newton(w, h, n_b, dn, lam, seed_y, seed_z)
-    if not (found & accepted).all():
-        fail(~(found & accepted), "no interior maximum of n_eff^2")
+    ay, az, accepted = _newton(w, h, n_b, dn, lam, 1.0, 1.0)
+    if not accepted.all():
+        fail(~accepted, "no interior maximum of n_eff^2")
     neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
     if not np.all(neff2 > 0.0):
         fail(~(neff2 > 0.0), "effective index squared non-positive at the optimum")

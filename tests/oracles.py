@@ -1,10 +1,11 @@
 """Independent numerical oracles for the closed forms in ``qpmdesign``.
 
 The trial field and the index profile in (y, z), adaptive 2-D quadrature of
-the variational functional and of the overlap integral, a Nelder-Mead
-maximization of the closed form that the mode solver's Newton refinement is
-checked against, the zero-mismatch amplitude ratio written directly in the
-variational parameters, a group index that re-solves the mode around its
+the variational functional and of the overlap integral, a strict-peak grid
+search and a Nelder-Mead maximization of the closed form that the mode
+solver's existence verdict and Newton refinement are checked against, the
+zero-mismatch amplitude ratio written directly in the variational
+parameters, a group index that re-solves the mode around its
 wavelength, a per-sample loop of cold mode solves that the batched spectra
 and filtered gamma are checked against, a flip-by-flip poling-pattern
 synthesis, and a Fourier component summed one domain edge at a time. They
@@ -27,6 +28,10 @@ from qpmdesign.spdc import ProcessAmplitudes, fwhm, relative_amplitudes, spectru
 
 # Nelder-Mead termination tolerance on the alphas.
 XATOL = 1e-9
+# Alpha grids of ``grid_peak``, (points per axis, alpha range) in both
+# variational parameters; the second is searched only where the first shows
+# no peak.
+PEAK_GRIDS = ((16, (0.2, 8.0)), (64, (0.05, 12.0)))
 
 
 class QuadratureFailure(Exception):
@@ -155,15 +160,37 @@ def nelder_mead(seed, width_w, depth_h, n_b, delta_n, wavelength_nm):
     return res.x
 
 
+def grid_peak(width_w, depth_h, n_b, delta_n, wavelength_nm):
+    """Best strict peak of the closed form on the first grid of ``PEAK_GRIDS``
+    that shows one, at one point. A strict peak is a node above its 8
+    neighbors, which excludes the alpha -> 0 boundary ridge. Returns
+    (alpha_y, alpha_z), or None where no grid shows a peak."""
+    for n, alpha_range in PEAK_GRIDS:
+        grid = np.linspace(*alpha_range, n)
+        vals = neff_closed_form(grid[:, None], grid[None, :], width_w, depth_h,
+                                n_b, delta_n, wavelength_nm)
+        inner = vals[1:-1, 1:-1]
+        strict = np.ones(inner.shape, dtype=bool)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di or dj:
+                    strict &= inner > vals[1 + di:n - 1 + di, 1 + dj:n - 1 + dj]
+        if strict.any():
+            i, j = np.unravel_index(np.argmax(np.where(strict, inner, -np.inf)),
+                                    inner.shape)
+            return float(grid[i + 1]), float(grid[j + 1])
+    return None
+
+
 def reference_mode(ctx, polarization: str, wavelength_nm: float):
-    """(n_eff, alpha_y, alpha_z, guided) at one wavelength: ``solve_mode``'s
-    grid seed, refined by ``nelder_mead`` instead of Newton."""
+    """(n_eff, alpha_y, alpha_z, guided) at one wavelength: the ``grid_peak``
+    seed refined by ``nelder_mead``. None where no grid shows a peak."""
     n_b, dn = ctx.indices(polarization, wavelength_nm)
     w, h = ctx.geometry.width_w, ctx.geometry.depth_h
-    seed_y, seed_z, found = modesolver._seeds(
-        w, h, *(np.array([x]) for x in (n_b, dn, wavelength_nm)))
-    assert found[0], "no strict peak on the seed grids"
-    ay, az = nelder_mead((seed_y[0], seed_z[0]), w, h, n_b, dn, wavelength_nm)
+    seed = grid_peak(w, h, n_b, dn, wavelength_nm)
+    if seed is None:
+        return None
+    ay, az = nelder_mead(seed, w, h, n_b, dn, wavelength_nm)
     n_eff = math.sqrt(neff_closed_form(ay, az, w, h, n_b, dn, wavelength_nm))
     return n_eff, ay, az, n_eff > n_b + modesolver.GUIDED_MARGIN
 

@@ -1,12 +1,14 @@
 """The batched mode solve against the scalar reference paths.
 
 ``solve_mode`` over arrays against element-wise scalar ``solve_mode``;
-its Newton refinement against a Nelder-Mead maximization from the same seed;
-``DesignResult.spectra`` and ``filtered_gamma`` against a loop of scalar
-solves per sample; and the number of solves a spectrum request makes.
+its Newton refinement and its existence verdict against a grid peak search
+refined by Nelder-Mead; ``DesignResult.spectra`` and ``filtered_gamma``
+against a loop of scalar solves per sample; and the number of solves and
+the memory a spectrum request takes.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ WIDE_BANDS = {"signal": (770.0, 790.0), "idler": (1530.0, 1600.0)}
        points=st.lists(st.tuples(st.sampled_from(sorted(WIDE_BANDS.values())),
                                  st.floats(0.0, 1.0)), min_size=1, max_size=8),
        pol=st.sampled_from(["ordinary", "extraordinary"]))
-# 1530 nm fails in Newton and 1600 nm already in the seed grids: the array
-# solve must name 1530 nm, the first failing point
+# Newton from (1, 1) settles at neither 1530 nm nor 1600 nm: the array solve
+# must name 1530 nm, the first failing point
 @example(depth=8.25, width=3.0, points=[((1530.0, 1600.0), 0.0), ((1530.0, 1600.0), 1.0)],
          pol="ordinary")
 def test_array_solve_matches_scalar_solves(material, depth, width, points, pol):
@@ -62,8 +64,8 @@ def test_array_solve_matches_scalar_solves(material, depth, width, points, pol):
        lam=st.one_of(*(st.floats(lo, hi) for lo, hi in BANDS.values())),
        pol=st.sampled_from(["ordinary", "extraordinary"]))
 # quasi-guided modes of a 3.31 x 9.8 um guide, where unsafeguarded Newton
-# from the grid seed runs into the saddle at alpha = 0 or onto the mirror
-# maximum at negative alphas
+# from the oracle's grid seed runs into the saddle at alpha = 0 or onto the
+# mirror maximum at negative alphas
 @example(depth=9.8, width=3.31, lam=1681.0, pol="ordinary")
 @example(depth=9.8, width=3.31, lam=1690.0, pol="ordinary")
 @example(depth=9.8, width=3.31, lam=1655.0, pol="extraordinary")
@@ -72,7 +74,9 @@ def test_array_solve_matches_scalar_solves(material, depth, width, points, pol):
 def test_newton_matches_nelder_mead(material, depth, width, lam, pol):
     ctx = ModeContext(material, WaveguideGeometry(width, depth))
     mode = ctx.solve(pol, lam)
-    n_eff, alpha_y, alpha_z, guided = reference_mode(ctx, pol, lam)
+    ref = reference_mode(ctx, pol, lam)
+    assert ref is not None, "no peak on the oracle's grids"
+    n_eff, alpha_y, alpha_z, guided = ref
     assert abs(mode.n_eff - n_eff) <= 1e-12
     assert abs(mode.field.alpha_y - alpha_y) <= 1e-5
     assert abs(mode.field.alpha_z - alpha_z) <= 1e-5
@@ -152,22 +156,91 @@ def test_spectrum_request_solve_count(spec, material, monkeypatch):
     assert sizes[after_design:] == [2001] * 4 + [spdc.FILTER_SAMPLES] * 4
 
 
+def test_spectra_peak_memory(reference_result):
+    """20,001 samples trace under 16 MiB: no per-sample table, about 0.4 KB
+    per sample."""
+    tracemalloc.start()
+    try:
+        reference_result.spectra(10.0, 20001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_spectra_at_cutoff_still_raise(table_results):
-    # the 1592 nm idler of the +-10 nm scan has no interior maximum
+    """The +-10 nm scan's first idler, 1592.151394422311 nm (signal 770 nm),
+    lies only about 0.2 nm past the extraordinary fold of the 6.5 x 6 um
+    row, where Newton from (1, 1) stops settling: 1591.9 nm is accepted,
+    1592.0 nm raises."""
+    ctx = table_results[(6.5, 6.0)].context
+    assert not ctx.solve("extraordinary", 1591.9).guided
     with pytest.raises(NoGuidedMode):
+        ctx.solve("extraordinary", 1592.0)
+    with pytest.raises(NoGuidedMode, match=re.escape(" at 1592.151394422311 nm ")):
         table_results[(6.5, 6.0)].spectra()
 
 
 def test_batch_raises_where_solve_mode_finds_no_mode(table_results):
-    """Past the grid search's cutoff Newton can still settle on a shallow
-    interior maximum; the batch must raise there as the cold solve does."""
-    result = table_results[(6.5, 6.0)]
-    ctx, mode, lam = result.context, result.modes["ie"], 1585.0
-    n_b, dn = ctx.indices("extraordinary", lam)
-    *_, accepted = modesolver._newton(6.0, 6.5, n_b, dn, lam,
-                                      mode.field.alpha_y, mode.field.alpha_z)
-    assert accepted
+    """Existence is Newton's acceptance from (1, 1). At 1585 nm, where the
+    former seed grids showed no peak, the extraordinary idler of the
+    6.5 x 6 um row is a shallow, quasi-guided maximum (n_eff - n_b about
+    -8.9e-5); past the fold, at 1593 nm, a scalar and a batch solve raise
+    and the batch names that point."""
+    ctx = table_results[(6.5, 6.0)].context
+    mode = ctx.solve("extraordinary", 1585.0)
+    assert not mode.guided
+    assert -1e-4 < mode.n_eff - mode.n_bulk < -8e-5
     with pytest.raises(NoGuidedMode):
-        ctx.solve("extraordinary", lam)
-    with pytest.raises(NoGuidedMode):
-        ctx.solve("extraordinary", [1570.0, lam])
+        ctx.solve("extraordinary", 1593.0)
+    with pytest.raises(NoGuidedMode, match=re.escape(" at 1593.0 nm ")):
+        ctx.solve("extraordinary", [1570.0, 1593.0])
+
+
+def _accepts(ctx, pol, lam):
+    try:
+        ctx.solve(pol, lam)
+    except NoGuidedMode:
+        return False
+    return True
+
+
+def _fold(ctx, pol, lo=500.0, hi=2000.0):
+    """The wavelength (to 1e-3 nm) where ``solve_mode`` stops accepting."""
+    assert _accepts(ctx, pol, lo) and not _accepts(ctx, pol, hi)
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _accepts(ctx, pol, mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_existence_matches_grid_oracle_near_the_fold(material, seed):
+    """Near the fold of a seeded geometry, every point where the oracle's
+    grids show a peak is accepted with the oracle's n_eff; a point accepted
+    without a grid peak is quasi-guided; and an array solve raises, naming
+    the first point a scalar solve rejects, exactly when one does."""
+    rng = np.random.default_rng(seed)
+    depth, width = rng.uniform(3.0, 8.0, 2)
+    pol = ("ordinary", "extraordinary")[rng.integers(2)]
+    ctx = ModeContext(material, WaveguideGeometry(width, depth))
+    lams = _fold(ctx, pol) + rng.uniform(-40.0, 5.0, 8)
+    first_failing = None
+    for lam in map(float, lams):
+        ref = reference_mode(ctx, pol, lam)
+        try:
+            mode = ctx.solve(pol, lam)
+        except NoGuidedMode:
+            assert ref is None, f"the oracle's grids find a mode at {lam} nm"
+            first_failing = first_failing or lam
+            continue
+        if ref is None:
+            assert not mode.guided
+        else:
+            assert abs(mode.n_eff - ref[0]) <= 1e-13
+            assert mode.guided == ref[3]
+    if first_failing is None:
+        ctx.solve(pol, lams)
+    else:
+        with pytest.raises(NoGuidedMode, match=re.escape(f" at {first_failing} nm ")):
+            ctx.solve(pol, lams)

@@ -250,6 +250,19 @@ class TestSpectrum:
                      "--samples", str(enough)]) == EXIT_OK
         assert "warning" not in capsys.readouterr().err
 
+    def test_advised_sample_count_resolves_both_peaks(self, tmp_path, capsys):
+        # 101 samples over a 200 mm guide's spectra leave one sample above
+        # half maximum on each peak; the advice from the first-order
+        # bandwidths resolves both in one rerun
+        args = ["spectrum", "--out", str(tmp_path), "--length-mm", "200",
+                "--half-range-nm", "10"]
+        assert main([*args, "--samples", "101"]) == EXIT_OK
+        err = capsys.readouterr().err
+        advised = [int(part.split()[0]) for part in err.split("--samples ")[1:]]
+        assert len(advised) == 2
+        assert main([*args, "--samples", str(max(advised))]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+
     def test_under_resolved_warning_respects_sample_cap(self, tmp_path, capsys,
                                                         monkeypatch):
         # the count that would resolve the oe peak here is above 100

@@ -128,9 +128,9 @@ def test_tiny_geometry_raises():
     ("extraordinary", 1560.0), ("extraordinary", 1574.0),
 ])
 def test_plane_wave_limit_is_no_mode(material, pol, lam):
-    """Past cutoff of a 3.06 x 8.66 um guide the seed grid shows a peak, but
-    the ascent from it slides onto the alpha -> 0 boundary: the plane-wave
-    limit with n_eff == n_b, which is no mode."""
+    """Past cutoff of a 3.06 x 8.66 um guide the ascent from (1, 1) slides
+    toward the alpha -> 0 boundary, the plane-wave limit with n_eff == n_b,
+    and never settles: no mode."""
     ctx = ModeContext(material, WaveguideGeometry(3.06, 8.66))
     with pytest.raises(NoGuidedMode, match="no interior maximum"):
         ctx.solve(pol, lam)
