@@ -1,11 +1,12 @@
 """End-to-end design pipeline: dispersion -> mode solves -> grating -> report.
 
 ``ModeContext`` bundles the material model with one geometry/temperature
-and solves a mode at one wavelength or, in one batched pass, at an array of
-them. ``design_point`` runs the full chain for a single design and returns a
-``DesignResult`` that evaluates off-design amplitudes, spectra and filtered
-entanglement degrees, each with one batched solve per polarization and arm.
-Nothing is cached.
+and solves modes for several (polarization, wavelengths) requests in one
+``solve_mode`` call. ``design_point`` runs the full chain for a single
+design, solving its five modes in one call, and returns a ``DesignResult``
+that evaluates off-design amplitudes, spectra and filtered entanglement
+degrees, each with one call for all four signal and idler modes at every
+sample. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .dispersion import (
     load_sellmeier_sets,
     normalize_polarization,
 )
-from .modesolver import ModalSolution, group_index, solve_mode
+from .modesolver import ModalSolution, TrialField, group_index, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import ProcessAmplitudes
 
@@ -70,9 +71,50 @@ class ModeContext:
     def solve(self, polarization: str, wavelength_nm) -> ModalSolution:
         """The mode at one wavelength (plain numbers out) or at an array of
         them (one ModalSolution of arrays)."""
-        pol = normalize_polarization(polarization)
-        n_b, dn = self.indices(pol, wavelength_nm)
-        return solve_mode(self.geometry, n_b, dn, wavelength_nm, polarization=pol)
+        return self.solve_many([(polarization, wavelength_nm)])[0]
+
+    def solve_many(self, requests) -> list[ModalSolution]:
+        """One ModalSolution per (polarization, wavelengths) request, in
+        request order, all from one ``solve_mode`` call.
+
+        Each solution has its request's polarization and wavelength shape; a
+        scalar wavelength gives plain numbers. NoGuidedMode names the first
+        failing point of the requests taken in order.
+        """
+        pols, lams, n_bs, dns = [], [], [], []
+        for polarization, wavelength_nm in requests:
+            pol = normalize_polarization(polarization)
+            lam = np.asarray(wavelength_nm, dtype=float)
+            n_b, dn = self.indices(pol, lam)
+            pols.append(pol)
+            lams.append(lam)
+            n_bs.append(np.ravel(n_b))
+            dns.append(np.ravel(dn))
+        joined = solve_mode(self.geometry, np.concatenate(n_bs), np.concatenate(dns),
+                            np.concatenate([lam.ravel() for lam in lams]))
+        ends = np.cumsum([lam.size for lam in lams])
+        return [_part(joined, pol, slice(end - lam.size, end), lam.shape)
+                for pol, lam, end in zip(pols, lams, ends)]
+
+
+def _part(joined: ModalSolution, polarization: str, points: slice, shape) -> ModalSolution:
+    """The ``points`` of a 1-d ModalSolution, reshaped to ``shape``."""
+
+    def cut(x):
+        x = x[points].reshape(shape)
+        return x.item() if x.ndim == 0 else x
+
+    f = joined.field
+    return ModalSolution(
+        wavelength_nm=cut(joined.wavelength_nm),
+        polarization=polarization,
+        n_eff=cut(joined.n_eff),
+        n_bulk=cut(joined.n_bulk),
+        delta_n=cut(joined.delta_n),
+        field=TrialField(alpha_y=cut(f.alpha_y), alpha_z=cut(f.alpha_z),
+                         width_w=f.width_w, depth_h=f.depth_h),
+        guided=cut(joined.guided),
+    )
 
 
 @dataclass
@@ -98,18 +140,17 @@ class DesignResult:
         """Amplitudes at off-design signal wavelengths (modes re-solved).
 
         An array of wavelengths gives amplitudes holding arrays; a scalar
-        gives plain numbers. The four signal and idler modes are solved in
-        one batched call each.
+        gives plain numbers. The four signal and idler modes at every
+        wavelength are solved in one ``solve_mode`` call.
         """
         lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
         lam_i = self.spec.idler_for(lam_s)
-        ctx = self.context
-        amps = spdc.relative_amplitudes(
-            self.modes["po"],
-            ctx.solve("ordinary", lam_s), ctx.solve("extraordinary", lam_s),
-            ctx.solve("ordinary", lam_i), ctx.solve("extraordinary", lam_i),
-            self.design, self.spec, lam_s,
-        )
+        so, se, io, ie = self.context.solve_many([
+            ("ordinary", lam_s), ("extraordinary", lam_s),
+            ("ordinary", lam_i), ("extraordinary", lam_i),
+        ])
+        amps = spdc.relative_amplitudes(self.modes["po"], so, se, io, ie,
+                                        self.design, self.spec, lam_s)
         if np.ndim(lambda_s_nm) == 0:
             return ProcessAmplitudes(**{k: v.item() for k, v in vars(amps).items()})
         return amps
@@ -167,18 +208,18 @@ def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
                  material: Material | None = None) -> DesignResult:
     """Run the full design chain for one geometry.
 
-    Solves the five modes, derives the grating frequencies/periods, evaluates
-    the zero-mismatch amplitudes, the entanglement degree and the first-order
-    bandwidths of both processes.
+    Solves the five modes in one call, derives the grating
+    frequencies/periods, evaluates the zero-mismatch amplitudes, the
+    entanglement degree and the first-order bandwidths of both processes.
     """
     if material is None:
         material = Material.default()
     ctx = ModeContext(material, geometry, spec.temperature_c)
-    po = ctx.solve("ordinary", spec.lambda_p_nm)
-    so = ctx.solve("ordinary", spec.lambda_s_nm)
-    se = ctx.solve("extraordinary", spec.lambda_s_nm)
-    io = ctx.solve("ordinary", spec.lambda_i_nm)
-    ie = ctx.solve("extraordinary", spec.lambda_i_nm)
+    po, so, se, io, ie = ctx.solve_many([
+        ("ordinary", spec.lambda_p_nm),
+        ("ordinary", spec.lambda_s_nm), ("extraordinary", spec.lambda_s_nm),
+        ("ordinary", spec.lambda_i_nm), ("extraordinary", spec.lambda_i_nm),
+    ])
     k1, k2 = required_frequencies(spec, po.n_eff, so.n_eff, se.n_eff,
                                   io.n_eff, ie.n_eff)
     design = periods_from_frequencies(k1, k2)

@@ -6,7 +6,8 @@ search and a Nelder-Mead maximization of the closed form that the mode
 solver's existence verdict and Newton refinement are checked against, the
 zero-mismatch amplitude ratio written directly in the variational
 parameters, a group index that re-solves the mode around its
-wavelength, a per-sample loop of cold mode solves that the batched spectra
+wavelength, a design point that solves its five modes one at a time, a
+per-sample loop of cold mode solves that the batched spectra
 and filtered gamma are checked against, a flip-by-flip poling-pattern
 synthesis, and a Fourier component summed one domain edge at a time. They
 exist only to check the package's closed forms and fast paths.
@@ -20,10 +21,12 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, optimize
 
-from qpmdesign import modesolver
+from qpmdesign import modesolver, spdc
 from qpmdesign.dispersion import WaveguideGeometry
-from qpmdesign.modesolver import ModalSolution, TrialField, neff_closed_form
-from qpmdesign.qpm import COINCIDENCE_TOL_UM, GratingDesign, PolingPattern
+from qpmdesign.modesolver import ModalSolution, TrialField, group_index, neff_closed_form
+from qpmdesign.pipeline import ModeContext
+from qpmdesign.qpm import (COINCIDENCE_TOL_UM, GratingDesign, PolingPattern,
+                           periods_from_frequencies, required_frequencies)
 from qpmdesign.spdc import ProcessAmplitudes, fwhm, relative_amplitudes, spectrum
 
 # Nelder-Mead termination tolerance on the alphas.
@@ -234,6 +237,28 @@ def reference_group_index(mode: ModalSolution,
     n_minus, n_plus = n_eff_at(np.array([lam - step, lam + step]))
     dn_dlam = (n_plus - n_minus) / (2.0 * step)
     return mode.n_eff - lam * dn_dlam
+
+
+def reference_design_point(spec, geometry, material) -> dict:
+    """The figures of ``pipeline.design_point`` from five scalar
+    ``ModeContext.solve`` calls, one per mode in the order po, so, se, io,
+    ie; a failing solve raises as the first failing mode's does."""
+    ctx = ModeContext(material, geometry, spec.temperature_c)
+    po = ctx.solve("ordinary", spec.lambda_p_nm)
+    so = ctx.solve("ordinary", spec.lambda_s_nm)
+    se = ctx.solve("extraordinary", spec.lambda_s_nm)
+    io = ctx.solve("ordinary", spec.lambda_i_nm)
+    ie = ctx.solve("extraordinary", spec.lambda_i_nm)
+    design = periods_from_frequencies(*required_frequencies(
+        spec, po.n_eff, so.n_eff, se.n_eff, io.n_eff, ie.n_eff))
+    amps = relative_amplitudes(po, so, se, io, ie, design, spec)
+    bw_oe, bw_eo = spdc.bandwidth_approx(
+        *(group_index(m, ctx.indices) for m in (so, se, io, ie)),
+        spec.lambda_s_nm, spec.length_mm)
+    return {"gamma": spdc.gamma(amps), "Lambda1": design.Lambda1,
+            "Lambda2": design.Lambda2, "Lambda0": design.Lambda0,
+            "Lambdap": design.Lambdap, "bandwidth_oe_nm": bw_oe,
+            "bandwidth_eo_nm": bw_eo}
 
 
 def reference_amplitudes(result, lambda_s_nm: float) -> ProcessAmplitudes:

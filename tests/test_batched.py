@@ -2,9 +2,10 @@
 
 ``solve_mode`` over arrays against element-wise scalar ``solve_mode``;
 its Newton refinement and its existence verdict against a grid peak search
-refined by Nelder-Mead; ``DesignResult.spectra`` and ``filtered_gamma``
-against a loop of scalar solves per sample; and the number of solves and
-the memory a spectrum request takes.
+refined by Nelder-Mead; ``design_point`` against five scalar solves;
+``DesignResult.spectra`` and ``filtered_gamma`` against a loop of scalar
+solves per sample; and the number of solves and the memory a spectrum
+request takes.
 """
 
 import re
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpmdesign import NoGuidedMode, WaveguideGeometry, modesolver, pipeline, spdc
+from qpmdesign import NoGuidedMode, WaveguideGeometry, modesolver, pipeline, solve_mode, spdc
 from qpmdesign.pipeline import ModeContext, design_point
 
 from conftest import DESIGN_TABLE
-from oracles import reference_filtered_gamma, reference_mode, reference_spectra
+from oracles import (reference_design_point, reference_filtered_gamma, reference_mode,
+                     reference_spectra)
 
 # signal and idler bands (nm) of the differential tests
 BANDS = {"signal": (770.0, 790.0), "idler": (1530.0, 1575.0)}
@@ -108,6 +110,81 @@ def test_newton_accepts_only_local_maxima(material, width, depth, pol, lam):
         assert np.all(f(eps * dy, eps * dz) < peak)
 
 
+@pytest.mark.parametrize("width, depth, lam", [
+    (8.25, 3.0, 1600.0),  # rejected, through the safeguarded ascent step
+    (10.0, 10.0, 1551.0),
+])
+def test_newton_accepts_0d_arguments(material, width, depth, lam):
+    """Scalars in give 0-d arrays out, equal to a one-point array call."""
+    n_b = material.sellmeier("ordinary").index(lam)
+    dn = material.increments.increment("ordinary", lam)
+    scalar = modesolver._newton(width, depth, n_b, dn, lam, 1.0, 1.0)
+    array = modesolver._newton(width, depth, np.array([n_b]), dn, lam, 1.0, 1.0)
+    for x, one in zip(scalar, array):
+        assert np.shape(x) == ()
+        np.testing.assert_array_equal(x, one[0])
+
+
+def test_first_failing_point_over_all_stages(material):
+    """NoGuidedMode names the first failing point in array order, whatever
+    the stage it fails in: a point past cutoff before one without an index
+    increment is named with its own reason."""
+    geom = WaveguideGeometry(4.5, 4.0)
+    n_b = material.sellmeier("ordinary").index(1551.0)
+    with pytest.raises(NoGuidedMode, match=re.escape(
+            "no interior maximum of n_eff^2 at 1551.0 nm (w=4.5 um, h=4.0 um, dn=0.0025)")):
+        solve_mode(geom, n_b, [0.0025, 0.0], [1551.0, 1552.0])
+    with pytest.raises(NoGuidedMode, match=re.escape("no index increment at 1552.0 nm ")):
+        solve_mode(geom, n_b, [0.0, 0.0025], [1552.0, 1551.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.floats(3.0, 14.0), width=st.floats(3.0, 14.0))
+@example(depth=4.0, width=4.5)  # the ordinary idler is past cutoff
+@example(depth=6.5, width=6.0)
+# bandwidth_oe moved by 1.9e-11 relative while settled points kept stepping
+# until the slowest point of the batch settled
+@example(depth=7.36722261056995, width=5.794803774482596)
+def test_design_point_matches_five_scalar_solves(spec, material, depth, width):
+    """One solve of the five modes gives the figures of five scalar solves,
+    and raises the first failing mode's NoGuidedMode exactly when they do."""
+    geom = WaveguideGeometry(width, depth)
+    try:
+        ref = reference_design_point(spec, geom, material)
+    except NoGuidedMode as exc:
+        with pytest.raises(NoGuidedMode) as raised:
+            design_point(spec, geom, material)
+        assert str(raised.value) == str(exc)
+        return
+    result = design_point(spec, geom, material)
+    g = result.design
+    got = {"gamma": result.gamma, "Lambda1": g.Lambda1, "Lambda2": g.Lambda2,
+           "Lambda0": g.Lambda0, "Lambdap": g.Lambdap,
+           "bandwidth_oe_nm": result.bandwidth_oe_nm,
+           "bandwidth_eo_nm": result.bandwidth_eo_nm}
+    for name, value in ref.items():
+        assert got[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+def test_solve_over_several_chunks_matches_per_arm_solves(reference_result):
+    """A solve of the four signal and idler arms that spans two Newton
+    chunks, one arm split between them, equals the solves of one arm at a
+    time, each within one chunk."""
+    n = 2047
+    assert n < modesolver.NEWTON_CHUNK < 4 * n
+    lam_s = np.linspace(770.0, 790.0, n)
+    lam_i = reference_result.spec.idler_for(lam_s)
+    requests = [("ordinary", lam_s), ("extraordinary", lam_s),
+                ("ordinary", lam_i), ("extraordinary", lam_i)]
+    ctx = reference_result.context
+    for (pol, lams), mode in zip(requests, ctx.solve_many(requests)):
+        one = ctx.solve(pol, lams)
+        assert mode.polarization == one.polarization == pol
+        np.testing.assert_array_equal(mode.wavelength_nm, lams)
+        assert np.max(np.abs(mode.n_eff - one.n_eff)) <= 1e-13
+        np.testing.assert_array_equal(mode.guided, one.guided)
+
+
 def test_scalar_amplitudes_are_one_element_of_the_batch(reference_result):
     lams = np.array([779.5, 780.0, 780.7])
     batch = reference_result.amplitudes_at(lams)
@@ -137,9 +214,9 @@ def test_filtered_gamma_matches_per_sample_reference(table_results, depth, width
 
 
 def test_spectrum_request_solve_count(spec, material, monkeypatch):
-    """A design point solves each of its five modes once (the group indices
-    re-solve none); spectra and filtered gamma solve each of their four
-    modes in one call over all samples."""
+    """A design point solves its five modes in one call (the group indices
+    re-solve none); spectra and filtered gamma each solve their four modes
+    at every sample in one call."""
     sizes = []
     solve_mode = pipeline.solve_mode
 
@@ -149,11 +226,9 @@ def test_spectrum_request_solve_count(spec, material, monkeypatch):
 
     monkeypatch.setattr(pipeline, "solve_mode", counted)
     result = design_point(spec, WaveguideGeometry(10.0, 10.0), material)
-    after_design = len(sizes)
     result.spectra(10.0, 2001)
     result.filtered_gamma(0.1)
-    assert after_design == 5
-    assert sizes[after_design:] == [2001] * 4 + [spdc.FILTER_SAMPLES] * 4
+    assert sizes == [5, 4 * 2001, 4 * spdc.FILTER_SAMPLES]
 
 
 def test_spectra_peak_memory(reference_result):

@@ -129,6 +129,25 @@ class TestExitCodes:
         assert main(["design", "--config", cfg]) == EXIT_PHYSICS
         assert "NoGuidedMode" in capsys.readouterr().err
 
+    def test_cutoff_names_first_failing_mode(self, tmp_path, capsys):
+        """The ordinary idler past cutoff is named, not the extraordinary
+        idler after it, which has no index increment."""
+        cfg = write_config(tmp_path, depth_um=4.0, width_um=4.5, index_increments=[
+            [519.0, 0.0038, 0.0037], [780.0, 0.0034, 0.0030], [1550.0, 0.0025, 0.0]])
+        assert main(["design", "--config", cfg]) == EXIT_PHYSICS
+        assert capsys.readouterr().err == (
+            "infeasible design: NoGuidedMode: no interior maximum of n_eff^2 at "
+            "1551.0344827586207 nm (w=4.5 um, h=4.0 um, dn=0.0025)\n")
+
+    def test_out_of_range_idler_is_config_error_before_cutoff(self, tmp_path, capsys):
+        """All five modes' indices are looked up before any solve: the
+        2007 nm idler outside the Sellmeier range exits 1, although the pump
+        mode of this 1 x 1 um guide is past cutoff too."""
+        cfg = write_config(tmp_path, depth_um=1.0, width_um=1.0, lambda_s_nm=700.0,
+                           lambda_i_nm=None)
+        assert main(["design", "--config", cfg]) == EXIT_CONFIG
+        assert "2007.18" in capsys.readouterr().err
+
 
 def test_design_request_validates_and_loads_once(monkeypatch, capsys):
     calls = {"load_sellmeier_sets": 0, "validate": 0}
