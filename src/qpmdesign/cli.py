@@ -36,7 +36,7 @@ EXIT_PHYSICS = 2
 # by linear interpolation between samples, is flagged as under-resolved.
 MIN_SAMPLES_ABOVE_HALF = 5
 # Most wavelength samples a spectrum may have, a bound on runtime and output
-# size; peak memory grows by about 0.44 KB per sample (42 MiB at 10^5). A
+# size; peak memory grows by about 0.32 KB per sample (30 MiB at 10^5). A
 # larger count is refused before any solve.
 MAX_SPECTRUM_SAMPLES = 10**5
 

@@ -77,44 +77,32 @@ class ModeContext:
         """One ModalSolution per (polarization, wavelengths) request, in
         request order, all from one ``solve_mode`` call.
 
-        Each solution has its request's polarization and wavelength shape; a
-        scalar wavelength gives plain numbers. NoGuidedMode names the first
-        failing point of the requests taken in order.
+        The requests' wavelengths must share one shape (ValueError before
+        any solve otherwise); they are the rows of the stacked solve. Each
+        solution has its request's polarization and that shape; a scalar
+        wavelength gives plain numbers. NoGuidedMode names the first failing
+        point of the requests taken in order.
         """
-        pols, lams, n_bs, dns = [], [], [], []
-        for polarization, wavelength_nm in requests:
-            pol = normalize_polarization(polarization)
-            lam = np.asarray(wavelength_nm, dtype=float)
-            n_b, dn = self.indices(pol, lam)
-            pols.append(pol)
-            lams.append(lam)
-            n_bs.append(np.ravel(n_b))
-            dns.append(np.ravel(dn))
-        joined = solve_mode(self.geometry, np.concatenate(n_bs), np.concatenate(dns),
-                            np.concatenate([lam.ravel() for lam in lams]))
-        ends = np.cumsum([lam.size for lam in lams])
-        return [_part(joined, pol, slice(end - lam.size, end), lam.shape)
-                for pol, lam, end in zip(pols, lams, ends)]
+        pols = [normalize_polarization(pol) for pol, _ in requests]
+        lam = np.stack([np.asarray(wavelength_nm, dtype=float)
+                        for _, wavelength_nm in requests])
+        indices = [self.indices(pol, row) for pol, row in zip(pols, lam)]
+        joined = solve_mode(self.geometry, np.stack([n_b for n_b, _ in indices]),
+                            np.stack([dn for _, dn in indices]), lam)
+        f = joined.field
 
+        def row(x, i):
+            return x[i] if x.ndim > 1 else x[i].item()
 
-def _part(joined: ModalSolution, polarization: str, points: slice, shape) -> ModalSolution:
-    """The ``points`` of a 1-d ModalSolution, reshaped to ``shape``."""
-
-    def cut(x):
-        x = x[points].reshape(shape)
-        return x.item() if x.ndim == 0 else x
-
-    f = joined.field
-    return ModalSolution(
-        wavelength_nm=cut(joined.wavelength_nm),
-        polarization=polarization,
-        n_eff=cut(joined.n_eff),
-        n_bulk=cut(joined.n_bulk),
-        delta_n=cut(joined.delta_n),
-        field=TrialField(alpha_y=cut(f.alpha_y), alpha_z=cut(f.alpha_z),
-                         width_w=f.width_w, depth_h=f.depth_h),
-        guided=cut(joined.guided),
-    )
+        return [ModalSolution(wavelength_nm=row(joined.wavelength_nm, i),
+                              polarization=pol,
+                              n_eff=row(joined.n_eff, i),
+                              n_bulk=row(joined.n_bulk, i),
+                              delta_n=row(joined.delta_n, i),
+                              field=TrialField(row(f.alpha_y, i), row(f.alpha_z, i),
+                                               f.width_w, f.depth_h),
+                              guided=row(joined.guided, i))
+                for i, pol in enumerate(pols)]
 
 
 @dataclass

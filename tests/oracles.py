@@ -63,13 +63,14 @@ def amplitude(field: TrialField, y_um, z_um):
     return float(out) if out.ndim == 0 else out
 
 
-def grad(field: TrialField, y_um: float, z_um: float) -> tuple[float, float]:
-    """Analytic transverse gradient (d/dy, d/dz) of the trial field for z < 0."""
-    if z_um >= 0.0:
-        return 0.0, 0.0
+def grad(field: TrialField, y_um, z_um):
+    """Analytic transverse gradient (d/dy, d/dz) of the trial field, zero in
+    the cover z >= 0. Accepts arrays, or floats (um), which keep to
+    ``math.exp`` so that adaptive quadrature stays fast."""
+    exp = math.exp if isinstance(y_um, float) and isinstance(z_um, float) else np.exp
     w, h = field.width_w, field.depth_h
     ay2, az2 = field.alpha_y**2, field.alpha_z**2
-    env = math.exp(-ay2 * y_um**2 / w**2 - az2 * z_um**2 / h**2)
+    env = exp(-ay2 * y_um**2 / w**2 - az2 * z_um**2 / h**2) * (z_um < 0.0)
     psi = _norm(field) * (-z_um / h) * env
     dpsi_dy = -2.0 * ay2 * y_um / w**2 * psi
     dpsi_dz = _norm(field) * env * (-1.0 / h) * (1.0 - 2.0 * az2 * z_um**2 / h**2)

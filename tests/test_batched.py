@@ -232,15 +232,31 @@ def test_spectrum_request_solve_count(spec, material, monkeypatch):
 
 
 def test_spectra_peak_memory(reference_result):
-    """20,001 samples trace under 16 MiB: no per-sample table, about 0.4 KB
-    per sample."""
-    tracemalloc.start()
-    try:
-        reference_result.spectra(10.0, 20001)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    """A spectrum traces about 0.3 KB per sample at its peak: no per-sample
+    table, and each Newton chunk's n_eff is finished within the chunk."""
+    for n_samples, bound_mib in ((20001, 16), (10**5, 36)):
+        tracemalloc.start()
+        try:
+            reference_result.spectra(10.0, n_samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, n_samples
+
+
+def test_solve_many_requests_share_one_shape(reference_result, monkeypatch):
+    """Requests are the rows of one stacked solve: wavelengths of different
+    shapes raise ValueError before any index lookup or solve."""
+    ctx = reference_result.context
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("called before the shapes were checked")
+
+    monkeypatch.setattr(pipeline, "solve_mode", no_call)
+    monkeypatch.setattr(ctx, "indices", no_call)
+    for lams in ([780.0, 781.0], [[780.0, 781.0]], [780.0]):
+        with pytest.raises(ValueError):
+            ctx.solve_many([("ordinary", 780.0), ("extraordinary", np.array(lams))])
 
 
 def test_spectra_at_cutoff_still_raise(table_results):
