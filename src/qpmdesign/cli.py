@@ -9,6 +9,7 @@ whose positions round-trip; JSON carries full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,6 +49,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpmdesign",

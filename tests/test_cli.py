@@ -166,6 +166,24 @@ def test_design_request_validates_and_loads_once(monkeypatch, capsys):
     assert calls == {"load_sellmeier_sets": 1, "validate": 1}
 
 
+def test_parser_built_once_without_state_between_calls(monkeypatch, capsys):
+    """``main`` reuses one parser per process. Calls with other subcommands
+    and flags, a flag given once and then left out, print exactly what a
+    freshly built parser gives."""
+    runs = (["design", "--dump-config", "--temperature", "30"], ["design"],
+            ["grating", "--length-mm", "12"], ["design", "--dump-config"],
+            ["spectrum", "--samples", "101", "--half-range-nm", "8"], ["grating"])
+    assert cli.build_parser() is cli.build_parser()
+    reused = []
+    for argv in runs:
+        assert main(argv) == EXIT_OK
+        reused.append(capsys.readouterr())
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for argv, seen in zip(runs, reused):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == seen, argv
+
+
 def test_design_request_loads_no_scipy():
     """The package runs on numpy alone: a design request in a fresh
     interpreter leaves no scipy module loaded."""

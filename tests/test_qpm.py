@@ -16,7 +16,7 @@ from qpmdesign import (
     required_frequencies,
     synthesize_pattern,
 )
-from qpmdesign.qpm import export_pattern_csv
+from qpmdesign.qpm import MAX_PATTERN_FLIPS, export_pattern_csv
 
 from oracles import reference_boundaries, reference_fourier_component, sign_at
 
@@ -128,6 +128,24 @@ def flip_reference_cases():
     return cases, commensurate
 
 
+def bench_shaped_requests():
+    """(design, length_mm, K values) shaped like the benchmark's grating
+    requests: the reference periods scaled together by up to +-1 %, a whole
+    number of modulation periods 10-50 mm long, and a 32-point K-scan (each
+    peak and 15 seeded offsets within 4 lobes of it), plus K = 0 and K < 0."""
+    rng = np.random.default_rng(14)
+    for _ in range(12):
+        scale = 1.0 + rng.uniform(-0.01, 0.01)
+        design = periods_from_frequencies(TWO_PI / 4.579 * scale, TWO_PI / 3.652 * scale)
+        periods = rng.integers(math.ceil(1e4 / design.Lambdap),
+                               math.floor(5e4 / design.Lambdap) + 1)
+        length_um = periods * design.Lambdap
+        lobe = TWO_PI / length_um
+        scan = [k + 4.0 * lobe * x for k in (design.K1, design.K2)
+                for x in (0.0, *rng.uniform(-1.0, 1.0, 15))]
+        yield design, length_um * 1e-3, scan + [0.0, -design.K1, -scan[5]]
+
+
 class TestPattern:
     def test_signs_near_origin_and_first_carrier_flip(self):
         design = commensurate_design()
@@ -232,6 +250,46 @@ class TestFourier:
             for k in (0.0, k0, 2.0 * k0, 3.0 * k0, k0 + kp, k0 - kp, *spread):
                 exact = reference_fourier_component(pattern, float(k))
                 assert abs(fourier_component(pattern, float(k)) - exact) < 1e-12
+
+    def test_matches_exact_phase_reference(self):
+        """Within 1e-14 of the per-edge sum with exact phases on the designs
+        of test_matches_flip_by_flip_reference: each flip is summed at its
+        own arange position, not at start + j h of its block, which the
+        rounding of the positions would bias by up to 3e-13."""
+        rng = np.random.default_rng(9)
+        cases, commensurate = flip_reference_cases()
+        for design, length in cases + commensurate:
+            pattern = synthesize_pattern(design, length)
+            k0 = TWO_PI / design.Lambda0
+            kp = TWO_PI / design.Lambdap
+            for k in (k0 + kp, k0 - kp, 3.0 * k0, *rng.uniform(-4.0 * k0, 4.0 * k0, 4)):
+                exact = reference_fourier_component(pattern, float(k), exact_phases=True)
+                assert abs(fourier_component(pattern, float(k)) - exact) < 1e-14
+
+    def test_matches_per_edge_reference_on_bench_shapes(self):
+        for design, length_mm, scan in bench_shaped_requests():
+            pattern = synthesize_pattern(design, length_mm)
+            for k in scan:
+                exact = reference_fourier_component(pattern, float(k))
+                assert abs(fourier_component(pattern, float(k)) - exact) < 1e-12
+
+    def test_longest_pattern(self):
+        """Just under MAX_PATTERN_FLIPS (about 1.8 m): a peak at 4/pi^2, and
+        the per-edge sums matched where rounding one phase per block of
+        ~1000 flips would miss by up to 3.6e-12."""
+        design = periods_from_frequencies(TWO_PI / 4.579, TWO_PI / 3.652)
+        flips_per_period = 2.0 + 2.0 * design.Lambdap / design.Lambda0
+        periods = math.floor(0.999 * MAX_PATTERN_FLIPS / flips_per_period)
+        pattern = synthesize_pattern(design, periods * design.Lambdap * 1e-3)
+        assert len(pattern.domain_boundaries) > 0.99 * MAX_PATTERN_FLIPS
+        assert abs(abs(fourier_component(pattern, design.K1)) - 4.0 / math.pi**2) < 1e-3
+        lobe = TWO_PI / pattern.length_um
+        rng = np.random.default_rng(5)
+        for k in (design.K1, -design.K2, *(design.K1 + 4.0 * lobe * rng.uniform(-1, 1, 6))):
+            c = fourier_component(pattern, float(k))
+            assert abs(c - reference_fourier_component(pattern, float(k))) < 1e-12
+            exact = reference_fourier_component(pattern, float(k), exact_phases=True)
+            assert abs(c - exact) < 1e-14
 
     def test_spectral_support_odd_orders_only(self):
         # commensurate case with K0 = 4 Kp: components n K0 + m Kp (n, m odd)

@@ -22,7 +22,8 @@ from qpmdesign.modesolver import TrialField
 from qpmdesign.qpm import fourier_component, periods_from_frequencies, synthesize_pattern
 from qpmdesign.spdc import ProcessAmplitudes, filtered_gamma, sinc
 
-from oracles import amplitude_ratio_closed_form, overlap_integral_quadrature
+from oracles import (amplitude_ratio_closed_form, overlap_integral_gauss,
+                     overlap_integral_quadrature)
 
 
 def amps(c_oe, c_eo, dk_oe=0.0, dk_eo=0.0):
@@ -38,8 +39,17 @@ class TestOverlap:
             fields = [TrialField(*rng.uniform(0.4, 3.0, size=2), 9.0, 7.0)
                       for _ in range(3)]
             closed = overlap_integral(*fields)
-            quad = overlap_integral_quadrature(*fields)
+            quad = overlap_integral_gauss(*fields)
             assert quad == pytest.approx(closed, rel=1e-8)
+
+    def test_gauss_rule_vs_adaptive_quadrature(self):
+        """The tensor Gauss oracle against adaptive dblquad, on one triple of
+        unequal fields."""
+        fields = [TrialField(ay, az, 9.0, 7.0)
+                  for ay, az in ((2.1, 1.3), (0.7, 2.6), (1.6, 0.5))]
+        gauss = overlap_integral_gauss(*fields)
+        assert gauss == pytest.approx(overlap_integral_quadrature(*fields), rel=1e-8)
+        assert overlap_integral_gauss(*fields, n_nodes=64) == pytest.approx(gauss, rel=1e-13)
 
     def test_self_overlap_analytic(self):
         ay, az, w, h = 1.4, 0.9, 10.0, 8.0
