@@ -88,10 +88,12 @@ class SellmeierSet:
         self.check_temperature(temperature_c)
         a1, a2, a3, a4, b1, b2, b3 = self.coefficients
         lam = lam_nm * 1e-3  # um
+        # lam * lam, not lam**2: numpy's scalar power can round a square
+        # differently from its array power, and a scalar is one array element
+        lam2 = lam * lam
         f = (temperature_c - self.t0_c) * (temperature_c + self.t0_c + self.t_offset_c)
-        n2 = a1 + (a2 + b1 * f) / (lam**2 - (a3 + b2 * f) ** 2) + b3 * f - a4 * lam**2
-        n = np.sqrt(n2)
-        return float(n) if n.ndim == 0 else n
+        n2 = a1 + (a2 + b1 * f) / (lam2 - (a3 + b2 * f) ** 2) + b3 * f - a4 * lam2
+        return np.sqrt(n2)
 
 
 def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, SellmeierSet]:
@@ -177,17 +179,25 @@ class IndexIncrementTable:
         lams = [e[0] for e in self.entries]
         col = 1 if pol == "ordinary" else 2
         vals = [e[col] for e in self.entries]
-        out = np.interp(np.asarray(wavelength_nm, dtype=float), lams, vals)
-        return float(out) if out.ndim == 0 else out
+        return np.interp(np.asarray(wavelength_nm, dtype=float), lams, vals)
+
+
+# Widths and depths (um) a channel may have. Ti-indiffused guides are
+# microns across; far outside this range the closed-form n_eff over- or
+# underflows.
+GEOMETRY_RANGE_UM = (0.1, 1000.0)
 
 
 @dataclass(frozen=True)
 class WaveguideGeometry:
-    """Channel geometry: Gaussian 1/e half-width w and depth h (um)."""
+    """Channel geometry: Gaussian 1/e half-width w and depth h (um), each
+    within GEOMETRY_RANGE_UM."""
 
     width_w: float
     depth_h: float
 
     def __post_init__(self):
-        if self.width_w <= 0 or self.depth_h <= 0:
-            raise ConfigError("waveguide width and depth must be positive")
+        lo, hi = GEOMETRY_RANGE_UM
+        if not (lo <= self.width_w <= hi and lo <= self.depth_h <= hi):
+            raise ConfigError(f"waveguide width and depth must lie in [{lo}, {hi}] um, "
+                              f"got w = {self.width_w} um, h = {self.depth_h} um")

@@ -106,15 +106,16 @@ def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
     ay = np.asarray(alpha_y, dtype=float)
     az = np.asarray(alpha_z, dtype=float)
     k0 = 2.0 * math.pi / (np.asarray(wavelength_nm, dtype=float) * 1e-3)  # rad/um
+    # k0 * k0, not k0**2: numpy's scalar power can round a square differently
+    # from its array power, and a scalar call is one element of a batch
     kinetic = (ay**2 * depth_h**2 + 3.0 * width_w**2 * az**2) / (
-        k0**2 * width_w**2 * depth_h**2
+        k0 * k0 * width_w**2 * depth_h**2
     )
     guiding = (
         8.0 * n_b * delta_n * ay * az**3
         / ((2.0 * az**2 + 1.0) ** 1.5 * np.sqrt(2.0 * ay**2 + 1.0))
     )
-    out = n_b**2 - kinetic + guiding
-    return float(out) if out.ndim == 0 else out
+    return n_b**2 - kinetic + guiding
 
 
 def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
@@ -215,7 +216,7 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     """Maximize the effective-index functional over (alpha_y, alpha_z).
 
     ``n_b``, ``delta_n`` and ``wavelength_nm`` broadcast: scalars give a
-    ModalSolution of plain numbers, arrays one whose numeric fields (and
+    ModalSolution of numpy scalars, arrays one whose numeric fields (and
     field alphas) are arrays of the broadcast shape. Every point starts at
     alpha_y = alpha_z = 1 and ``_newton`` refines the points together,
     ``NEWTON_CHUNK`` at a time; each chunk's n_eff is finished and checked
@@ -255,8 +256,7 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
         n_eff[part] = np.sqrt(neff2)
 
     def out(x):
-        x = x.reshape(shape)
-        return x.item() if x.ndim == 0 else x
+        return x.reshape(shape)[()]
 
     return ModalSolution(
         wavelength_nm=out(lam),

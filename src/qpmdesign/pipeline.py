@@ -69,8 +69,8 @@ class ModeContext:
         return n_b, dn
 
     def solve(self, polarization: str, wavelength_nm) -> ModalSolution:
-        """The mode at one wavelength (plain numbers out) or at an array of
-        them (one ModalSolution of arrays)."""
+        """The mode at one wavelength or at an array of them (one
+        ModalSolution of arrays)."""
         return self.solve_many([(polarization, wavelength_nm)])[0]
 
     def solve_many(self, requests) -> list[ModalSolution]:
@@ -79,9 +79,8 @@ class ModeContext:
 
         The requests' wavelengths must share one shape (ValueError before
         any solve otherwise); they are the rows of the stacked solve. Each
-        solution has its request's polarization and that shape; a scalar
-        wavelength gives plain numbers. NoGuidedMode names the first failing
-        point of the requests taken in order.
+        solution has its request's polarization and that shape. NoGuidedMode
+        names the first failing point of the requests taken in order.
         """
         pols = [normalize_polarization(pol) for pol, _ in requests]
         lam = np.stack([np.asarray(wavelength_nm, dtype=float)
@@ -90,18 +89,13 @@ class ModeContext:
         joined = solve_mode(self.geometry, np.stack([n_b for n_b, _ in indices]),
                             np.stack([dn for _, dn in indices]), lam)
         f = joined.field
-
-        def row(x, i):
-            return x[i] if x.ndim > 1 else x[i].item()
-
-        return [ModalSolution(wavelength_nm=row(joined.wavelength_nm, i),
+        return [ModalSolution(wavelength_nm=joined.wavelength_nm[i],
                               polarization=pol,
-                              n_eff=row(joined.n_eff, i),
-                              n_bulk=row(joined.n_bulk, i),
-                              delta_n=row(joined.delta_n, i),
-                              field=TrialField(row(f.alpha_y, i), row(f.alpha_z, i),
-                                               f.width_w, f.depth_h),
-                              guided=row(joined.guided, i))
+                              n_eff=joined.n_eff[i],
+                              n_bulk=joined.n_bulk[i],
+                              delta_n=joined.delta_n[i],
+                              field=TrialField(f.alpha_y[i], f.alpha_z[i], f.width_w, f.depth_h),
+                              guided=joined.guided[i])
                 for i, pol in enumerate(pols)]
 
 
@@ -110,7 +104,6 @@ class DesignResult:
     """Full evaluation of one waveguide design."""
 
     spec: InteractionSpec
-    geometry: WaveguideGeometry
     context: ModeContext
     modes: dict[str, ModalSolution]  # keys: po, so, se, io, ie
     design: GratingDesign
@@ -127,21 +120,18 @@ class DesignResult:
     def amplitudes_at(self, lambda_s_nm) -> ProcessAmplitudes:
         """Amplitudes at off-design signal wavelengths (modes re-solved).
 
-        An array of wavelengths gives amplitudes holding arrays; a scalar
-        gives plain numbers. The four signal and idler modes at every
-        wavelength are solved in one ``solve_mode`` call.
+        An array of wavelengths gives amplitudes holding arrays. The four
+        signal and idler modes at every wavelength are solved in one
+        ``solve_mode`` call.
         """
-        lam_s = np.atleast_1d(np.asarray(lambda_s_nm, dtype=float))
+        lam_s = np.asarray(lambda_s_nm, dtype=float)
         lam_i = self.spec.idler_for(lam_s)
         so, se, io, ie = self.context.solve_many([
             ("ordinary", lam_s), ("extraordinary", lam_s),
             ("ordinary", lam_i), ("extraordinary", lam_i),
         ])
-        amps = spdc.relative_amplitudes(self.modes["po"], so, se, io, ie,
+        return spdc.relative_amplitudes(self.modes["po"], so, se, io, ie,
                                         self.design, self.spec, lam_s)
-        if np.ndim(lambda_s_nm) == 0:
-            return ProcessAmplitudes(**{k: v.item() for k, v in vars(amps).items()})
-        return amps
 
     def spectra(self, half_range_nm: float = 10.0, n_samples: int = 2001):
         """Sampled normalized spectra of both processes around the design point.
@@ -193,15 +183,13 @@ class DesignResult:
 
 
 def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
-                 material: Material | None = None) -> DesignResult:
+                 material: Material) -> DesignResult:
     """Run the full design chain for one geometry.
 
     Solves the five modes in one call, derives the grating
     frequencies/periods, evaluates the zero-mismatch amplitudes, the
     entanglement degree and the first-order bandwidths of both processes.
     """
-    if material is None:
-        material = Material.default()
     ctx = ModeContext(material, geometry, spec.temperature_c)
     po, so, se, io, ie = ctx.solve_many([
         ("ordinary", spec.lambda_p_nm),
@@ -218,7 +206,6 @@ def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
                                          spec.lambda_s_nm, spec.length_mm)
     return DesignResult(
         spec=spec,
-        geometry=geometry,
         context=ctx,
         modes={"po": po, "so": so, "se": se, "io": io, "ie": ie},
         design=design,

@@ -85,8 +85,7 @@ class InteractionSpec:
                 f"signal {float(lam_s[bad].flat[0])} nm incompatible with pump "
                 f"{self.lambda_p_nm} nm: the signal must be longer than the pump"
             )
-        out = 1.0 / (1.0 / self.lambda_p_nm - 1.0 / lam_s)
-        return float(out) if out.ndim == 0 else out
+        return 1.0 / (1.0 / self.lambda_p_nm - 1.0 / lam_s)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Independent numerical oracles for the closed forms in ``qpmdesign``.
 
 The trial field and the index profile in (y, z), adaptive 2-D quadrature of
-the variational functional and of the overlap integral, a tensor Gauss
-rule for the overlap integral, a strict-peak grid
+the variational functional and of the overlap integral, tensor Gauss
+rules for both, a strict-peak grid
 search and a Nelder-Mead maximization of the closed form that the mode
 solver's existence verdict and Newton refinement are checked against, the
 zero-mismatch amplitude ratio written directly in the variational
@@ -129,6 +129,22 @@ def neff_quadrature(field: TrialField, profile: Callable[[float, float], float],
             f"quadrature error estimate {err:.2e} above tolerance {tol:.2e}"
         )
     return val
+
+
+def gauss_legendre_neff2(field: TrialField, geom: WaveguideGeometry, n_b: float,
+                         delta_n: float, wavelength_nm: float, n_nodes: int) -> float:
+    """Tensor Gauss-Legendre rule of the variational functional over the box
+    of ``neff_quadrature``, all nodes in one array expression, with the
+    index profile of ``geom``."""
+    k0 = 2.0 * math.pi / (wavelength_nm * 1e-3)
+    ylim = 8.0 * field.width_w / field.alpha_y
+    zlim = 8.0 * field.depth_h / field.alpha_z
+    xs, wx = np.polynomial.legendre.leggauss(n_nodes)
+    y, z = np.meshgrid(xs * ylim, (xs - 1.0) * 0.5 * zlim, indexing="ij")
+    gy, gz = grad(field, y, z)
+    val = (-(gy**2 + gz**2) / k0**2
+           + index_profile(geom, n_b, delta_n, y, z) * amplitude(field, y, z) ** 2)
+    return (wx * ylim) @ val @ (wx * 0.5 * zlim)
 
 
 def overlap_integral_quadrature(pump: TrialField, a: TrialField, b: TrialField,

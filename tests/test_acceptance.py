@@ -24,7 +24,7 @@ from qpmdesign.modesolver import TrialField
 from qpmdesign.spdc import ProcessAmplitudes, gamma
 
 from conftest import DESIGN_TABLE
-from oracles import amplitude, amplitude_ratio_closed_form, index_profile, neff_quadrature
+from oracles import amplitude, amplitude_ratio_closed_form, gauss_legendre_neff2
 
 
 @pytest.fixture(autouse=True)
@@ -157,9 +157,8 @@ def test_criterion_5_variational_solver(material):
         n_b = rng.uniform(2.1, 2.3)
         dn = rng.uniform(0.001, 0.005)
         lam = rng.uniform(500.0, 1600.0)
-        field = TrialField(ay, az, w, h)
-        geom = WaveguideGeometry(w, h)
-        q = neff_quadrature(field, lambda y, z: index_profile(geom, n_b, dn, y, z), lam)
+        q = gauss_legendre_neff2(TrialField(ay, az, w, h), WaveguideGeometry(w, h),
+                                 n_b, dn, lam, 200)
         c = neff_closed_form(ay, az, w, h, n_b, dn, lam)
         quad_dev = max(quad_dev, abs(q / c - 1.0))
 

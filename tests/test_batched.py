@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpmdesign import NoGuidedMode, WaveguideGeometry, modesolver, pipeline, solve_mode, spdc
+from qpmdesign import (NoGuidedMode, WaveguideGeometry, modesolver, neff_closed_form, pipeline,
+                       solve_mode, spdc)
 from qpmdesign.pipeline import ModeContext, design_point
 
 from conftest import DESIGN_TABLE
@@ -193,6 +194,54 @@ def test_scalar_amplitudes_are_one_element_of_the_batch(reference_result):
         assert isinstance(one.C_oe_rel, complex) and isinstance(one.delta_k_eo, float)
         for name, value in vars(one).items():
             assert value == getattr(batch, name)[k]
+
+
+def same_bits(scalar, batch, kind):
+    """``scalar`` is a numpy scalar of type ``kind`` with the bits of
+    ``batch[0]``."""
+    assert type(scalar) is kind
+    assert scalar.tobytes() == batch[0].tobytes()
+
+
+@pytest.mark.parametrize("depth, width", [row[:2] for row in DESIGN_TABLE])
+def test_scalar_calls_are_element_0_of_the_batch(table_results, depth, width):
+    """A scalar request gives numpy scalars with the bits of element 0 of
+    the same call on a one-element array of wavelengths."""
+    result = table_results[(depth, width)]
+    spec, ctx = result.spec, result.context
+    material, geom = ctx.material, ctx.geometry
+    f64 = np.float64
+    for lam in (spec.lambda_p_nm, spec.lambda_s_nm, spec.lambda_i_nm):
+        one = np.array([lam])
+        same_bits(material.ordinary.index(lam), material.ordinary.index(one), f64)
+        same_bits(material.increments.increment("e", lam),
+                  material.increments.increment("e", one), f64)
+        same_bits(neff_closed_form(1.3, 0.8, geom.width_w, geom.depth_h, 2.2, 0.003, lam),
+                  neff_closed_form(1.3, 0.8, geom.width_w, geom.depth_h, 2.2, 0.003, one),
+                  f64)
+        n_b, dn = ctx.indices("ordinary", lam)
+        for scalar, batch in ((solve_mode(geom, n_b, dn, lam), solve_mode(geom, [n_b], [dn], one)),
+                              (ctx.solve("e", lam), ctx.solve("e", one))):
+            for name in ("wavelength_nm", "n_eff", "n_bulk", "delta_n"):
+                same_bits(getattr(scalar, name), getattr(batch, name), f64)
+            same_bits(scalar.field.alpha_y, batch.field.alpha_y, f64)
+            same_bits(scalar.field.alpha_z, batch.field.alpha_z, f64)
+            same_bits(scalar.guided, batch.guided, np.bool_)
+    lam_s = spec.lambda_s_nm
+    same_bits(spec.idler_for(lam_s), spec.idler_for(np.array([lam_s])), f64)
+    # at the design wavelength a scalar request is the design point itself
+    amps, batch = result.amplitudes_at(lam_s), result.amplitudes_at(np.array([lam_s]))
+    for name, value in vars(amps).items():
+        kind = np.complex128 if name.startswith("C_") else f64
+        same_bits(value, np.array([getattr(result.amplitudes, name)]), kind)
+        if name.startswith("delta_k"):
+            same_bits(value, getattr(batch, name), kind)
+        else:
+            # the overlap integral's powers: numpy's scalar power (libm pow)
+            # and its array power (a SIMD pow on AVX-512 hosts) may round
+            # apart, by up to 3.2 eps over 1,600 signal wavelengths probed
+            np.testing.assert_allclose(value, getattr(batch, name)[0],
+                                       rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_spectra_match_per_sample_reference(reference_result):

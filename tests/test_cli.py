@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpmdesign
 from qpmdesign import cli, config
@@ -83,6 +88,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert next(iter(overrides)) in err
+
+    @pytest.mark.parametrize("extra", [[], ["--dump-config"]], ids=["design", "dump-config"])
+    @pytest.mark.parametrize("size", [1e300, 1e200, 1e-300])
+    def test_geometry_outside_physical_range(self, tmp_path, capsys, recwarn, size, extra):
+        """Widths and depths outside GEOMETRY_RANGE_UM exit 1 with one
+        line: no traceback from overflow, no numpy warning from underflow."""
+        cfg = write_config(tmp_path, width_um=size, depth_um=size)
+        assert main(["design", "--config", cfg, *extra]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: waveguide width and depth must lie in")
+        assert err.count("\n") == 1
+        assert not recwarn.list
 
     def test_missing_config_file(self, capsys):
         assert main(["design", "--config", "/nonexistent.json"]) == EXIT_CONFIG
@@ -351,3 +369,107 @@ class TestGrating:
         pattern_lines = (out / "poling_pattern.csv").read_text().splitlines()
         assert check["n_domain_boundaries"] == sum(
             1 for l in pattern_lines if l and not l.startswith("#")) - 1
+
+
+# Config values: mostly typical ones, else any number in a wide range, the
+# edges of every check or a value of the wrong type. Lengths stay small, so
+# no draw allocates a long pattern.
+EDGE_NUMBERS = [0.0, -1.0, 1e-300, 1e300, float("nan"), float("inf")]
+EDGES = [*EDGE_NUMBERS, "abc", None, True, [], {}]
+
+
+def numbers(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.integers(int(lo), int(hi)))
+
+
+def mostly(typical, *others):
+    """``typical`` in three draws of four, else one of ``others``."""
+    return st.sampled_from([typical] * (3 * len(others)) + list(others)).flatmap(
+        lambda strategy: strategy)
+
+
+def value(typical, lo, hi, edges=EDGES):
+    return mostly(typical, numbers(lo, hi), st.sampled_from(edges))
+
+
+SIZE = value(st.floats(2.0, 20.0), 0.05, 2000.0)
+GEOMETRY = mostly(SIZE, st.lists(SIZE, max_size=3))
+# The nine config keys, each present or not, except the idler: its default
+# of 1551 nm fits only the default pump and signal.
+CONFIGS = st.fixed_dictionaries({
+    "lambda_i_nm": value(st.none(), 900.0, 2500.0),
+}, optional={
+    "lambda_p_nm": value(st.floats(500.0, 540.0), 300.0, 900.0),
+    "lambda_s_nm": value(st.floats(740.0, 820.0), 500.0, 1200.0),
+    "temperature_c": value(st.floats(20.0, 200.0), -50.0, 300.0),
+    "length_mm": value(st.floats(1.0, 60.0), 0.01, 60.0),
+    "width_um": GEOMETRY,
+    "depth_um": GEOMETRY,
+    "sellmeier_file": mostly(st.just("packaged"), st.sampled_from(
+        ["missing", "not_json", "no_sets", "six_coefficients"]), st.sampled_from(EDGES)),
+    "index_increments": mostly(
+        st.just([list(row) for row in config.DEFAULT_INCREMENTS]),
+        st.lists(st.lists(numbers(-0.001, 2000.0), min_size=2, max_size=4), max_size=4),
+        st.sampled_from(EDGES)),
+})
+# Flag values of the flag's type, which argparse converts.
+FLAGS = {
+    "--temperature": value(st.floats(20.0, 200.0), -50.0, 300.0, EDGE_NUMBERS),
+    "--length-mm": value(st.floats(1.0, 60.0), 0.01, 60.0, EDGE_NUMBERS),
+    "--half-range-nm": value(st.floats(4.0, 12.0), 0.01, 1000.0, EDGE_NUMBERS),
+    "--samples": mostly(st.integers(3, 60), st.integers(-2, 60),
+                        st.just(MAX_SPECTRUM_SAMPLES + 1)),
+}
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(["design", "sweep", "spectrum", "grating"]))
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append("--dump-config")
+    flags = ["--temperature", "--length-mm"]
+    if command == "spectrum":
+        flags += ["--half-range-nm", "--samples"]
+    for flag in flags:
+        if draw(st.booleans()):
+            # --flag=value: a value such as -1.0 is not read as a flag
+            argv.append(f"{flag}={draw(FLAGS[flag])!r}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory with the Sellmeier files the fuzz configs name."""
+    path = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "packaged": json.dumps(PACKAGED_SELLMEIER),
+        "not_json": "not json {",
+        "no_sets": json.dumps({k: v for k, v in PACKAGED_SELLMEIER.items() if k != "sets"}),
+        "six_coefficients": json.dumps({**PACKAGED_SELLMEIER, "sets": {
+            pol: {**entry, "coefficients": entry["coefficients"][:6]}
+            for pol, entry in PACKAGED_SELLMEIER["sets"].items()}}),
+    }
+    for name, text in files.items():
+        (path / f"{name}.json").write_text(text)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=CONFIGS, argv=invocations())
+def test_any_input_exits_cleanly(fuzz_dir, doc, argv):
+    """Every config and argument list ends in exit 0, 1 or 2, never in an
+    uncaught exception, and an error exit writes one stderr line."""
+    if isinstance(doc.get("sellmeier_file"), str):
+        doc["sellmeier_file"] = str(fuzz_dir / f"{doc['sellmeier_file']}.json")
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = main([*argv, "--config", str(path)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS)
+    if code != EXIT_OK:
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert len(lines) == 1, lines

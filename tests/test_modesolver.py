@@ -10,7 +10,8 @@ from qpmdesign.modesolver import TrialField, group_index, neff_closed_form
 from qpmdesign.pipeline import ModeContext
 
 from conftest import DESIGN_TABLE
-from oracles import amplitude, grad, index_profile, neff_quadrature, reference_group_index
+from oracles import (amplitude, gauss_legendre_neff2, index_profile, neff_quadrature,
+                     reference_group_index)
 
 GEOM = WaveguideGeometry(10.0, 10.0)
 NB, DN, LAM = 2.2112, 0.0025, 1551.0
@@ -18,20 +19,6 @@ NB, DN, LAM = 2.2112, 0.0025, 1551.0
 
 def profile(y, z):
     return index_profile(GEOM, NB, DN, y, z)
-
-
-def gauss_legendre_neff2(field, n_b, dn, lam_nm, n_nodes):
-    """Tensor Gauss-Legendre rule of the functional over the box of
-    ``neff_quadrature``, all nodes in one array expression."""
-    k0 = 2.0 * math.pi / (lam_nm * 1e-3)
-    ylim = 8.0 * field.width_w / field.alpha_y
-    zlim = 8.0 * field.depth_h / field.alpha_z
-    xs, wx = np.polynomial.legendre.leggauss(n_nodes)
-    y, z = np.meshgrid(xs * ylim, (xs - 1.0) * 0.5 * zlim, indexing="ij")
-    gy, gz = grad(field, y, z)
-    val = (-(gy**2 + gz**2) / k0**2
-           + index_profile(GEOM, n_b, dn, y, z) * amplitude(field, y, z) ** 2)
-    return (wx * ylim) @ val @ (wx * 0.5 * zlim)
 
 
 def test_closed_form_matches_quadrature_reference_point():
@@ -46,15 +33,15 @@ def test_closed_form_matches_quadrature_random_params():
     for _ in range(20):
         ay, az = rng.uniform(0.3, 5.0, size=2)
         field = TrialField(ay, az, 10.0, 10.0)
-        q = gauss_legendre_neff2(field, NB, DN, LAM, 200)
+        q = gauss_legendre_neff2(field, GEOM, NB, DN, LAM, 200)
         c = neff_closed_form(ay, az, 10.0, 10.0, NB, DN, LAM)
         assert q == pytest.approx(c, rel=1e-6)
 
 
 def test_quadrature_self_convergence():
     field = TrialField(1.3, 0.8, 10.0, 10.0)
-    coarse = gauss_legendre_neff2(field, NB, DN, LAM, 200)
-    fine = gauss_legendre_neff2(field, NB, DN, LAM, 400)
+    coarse = gauss_legendre_neff2(field, GEOM, NB, DN, LAM, 200)
+    fine = gauss_legendre_neff2(field, GEOM, NB, DN, LAM, 400)
     assert abs(fine - coarse) < 1e-9
 
 
