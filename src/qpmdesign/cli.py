@@ -49,16 +49,32 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError: exit 1 in one line, not 2 with usage."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # some Python versions read "--samples=--" as an empty list of values
+        for name in (key for key, value in vars(namespace).items() if value == []):
+            self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return namespace, extras
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpmdesign",
         description="Design dual-period QPM photon-pair sources in "
                     "Ti-indiffused LiNbO3 waveguides.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file (default: built-in design point)")
         p.add_argument("--out", help="output directory (default: stdout/cwd)")
         p.add_argument("--temperature", type=float, metavar="degC",
@@ -67,23 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override interaction length")
         p.add_argument("--dump-config", action="store_true",
                        help="print the effective config JSON and exit")
+        return p
 
-    p_design = sub.add_parser("design", help="evaluate a single design point")
-    common(p_design)
-
-    p_sweep = sub.add_parser("sweep", help="sweep geometries, one CSV row per design")
-    common(p_sweep)
-
-    p_spec = sub.add_parser("spectrum", help="sample the two emission spectra")
-    common(p_spec)
+    command("design", cmd_design, "evaluate a single design point")
+    command("sweep", cmd_sweep, "sweep geometries, one CSV row per design")
+    p_spec = command("spectrum", cmd_spectrum, "sample the two emission spectra")
     p_spec.add_argument("--half-range-nm", type=float, default=10.0,
                         help="scan half-range around the design signal "
                              "wavelength (positive; must cover both FWHMs)")
     p_spec.add_argument("--samples", type=int, default=2001,
                         help=f"number of wavelength samples (3 to {MAX_SPECTRUM_SAMPLES})")
-
-    p_grat = sub.add_parser("grating", help="synthesize the poling pattern")
-    common(p_grat)
+    command("grating", cmd_grating, "synthesize the poling pattern")
     return parser
 
 
@@ -207,9 +217,8 @@ def cmd_grating(cfg: DesignConfig, material: Material, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         overrides = {key: value for key, value in (("temperature_c", args.temperature),
                                                    ("length_mm", args.length_mm))
                      if value is not None}
@@ -218,13 +227,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             sys.stdout.write(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
             return EXIT_OK
-        handler = {
-            "design": cmd_design,
-            "sweep": cmd_sweep,
-            "spectrum": cmd_spectrum,
-            "grating": cmd_grating,
-        }[args.command]
-        return handler(cfg, material, args)
+        return args.handler(cfg, material, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

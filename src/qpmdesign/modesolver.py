@@ -14,11 +14,11 @@ index the mode is only quasi-guided and is flagged as such.
 
 ``solve_mode`` is one batched kernel: it takes a wavelength (with its
 material indices) or arrays of them, starts every point at alpha_y =
-alpha_z = 1, and runs a safeguarded Newton iteration on the analytic
-stationarity equations of all points together, ``NEWTON_CHUNK`` points at a
-time. The iteration alone decides existence: a point has a mode exactly
-when it settles on a concave interior point. Past cutoff the ascent halves
-both alphas every step toward the alpha -> 0 boundary and never settles.
+alpha_z = 1, and runs a safeguarded Newton iteration (``_newton``) on the
+analytic stationarity equations of all points together, ``NEWTON_CHUNK``
+points at a time. The iteration alone decides existence: a point has a mode
+exactly when it settles on a concave interior point. Past cutoff the capped
+steps halve both alphas toward the alpha -> 0 boundary and never settle.
 """
 
 from __future__ import annotations
@@ -128,12 +128,12 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
     follow from f' = (2a^2+1)^(-3/2), f'' = -6a (2a^2+1)^(-5/2),
     g' = 3a^2 (2a^2+1)^(-5/2) and g'' = 6a (1-3a^2) (2a^2+1)^(-7/2).
 
-    Where the Hessian H is concave and the Newton step -H^-1 grad keeps both
-    alphas above half their value, that step is taken. Elsewhere the step
-    is |H|^-1 grad, |H| the matrix absolute value of H (Nocedal & Wright,
-    Numerical Optimization, 2nd ed., sec. 3.4), shortened so that no alpha
-    more than halves: an ascent that leaves saddles and never crosses to
-    the mirror maximum at negative alphas.
+    Two rules safeguard the Newton step -H^-1 grad. Where det H <= 0 the
+    step is |H|^-1 grad, |H| the matrix absolute value of H (Nocedal &
+    Wright, Numerical Optimization, 2nd ed., sec. 3.4): an ascent that
+    leaves saddles. Where H is concave, |H|^-1 grad is the Newton step. And
+    every step is shortened so that no alpha more than halves: the iteration
+    never crosses to the mirror maximum at negative alphas.
 
     Broadcasts over arrays, 0-d ones included. Returns (alpha_y, alpha_z,
     accepted) of the broadcast shape: a point is accepted when the iteration
@@ -167,26 +167,20 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
             h_yy = ky + c * (-6.0 * ay * sy**-2.5) * g
             h_zz = kz + cf * (6.0 * az * (1.0 - 3.0 * az**2) * sz**-3.5)
             h_yz = cf1 * g1
-            det = h_yy * h_zz - h_yz**2
-            step_y = (h_yz * grad_z - h_zz * grad_y) / det
-            step_z = (h_yz * grad_y - h_yy * grad_z) / det
-            # no step more than halves a positive seed's alphas, and with
-            # both alphas positive H_yy < 0, so det H > 0 means concave
-            unsafe = (det <= 0.0) | (np.minimum(step_y / ay, step_z / az) <= -0.5)
-            if unsafe.any():
-                step_y[unsafe], step_z[unsafe] = _ascent_step(
-                    ay[unsafe], az[unsafe], grad_y[unsafe], grad_z[unsafe],
-                    h_yy[unsafe], h_zz[unsafe], h_yz[unsafe])
-            # a settled point stays where it would stop if refined alone, so
-            # no point's result depends on the others refined with it
-            step_y[settled] = 0.0
-            step_z[settled] = 0.0
+            step_y, step_z, det = _ascent_direction(grad_y, grad_z, h_yy, h_zz, h_yz)
+            # no alpha more than halves, so alphas stay positive and H_yy < 0:
+            # det H > 0 means concave. A settled point stays where it would
+            # stop if refined alone, independent of the others refined with it
+            scale = -0.5 / np.minimum(-0.5, np.minimum(step_y / ay, step_z / az))
+            scale[settled] = 0.0
+            step_y *= scale
+            step_z *= scale
             ay += step_y
             az += step_z
-            settled = ((np.abs(step_y) <= NEWTON_TOL * (1.0 + ay))
-                       & (np.abs(step_z) <= NEWTON_TOL * (1.0 + az)))
-            # a point that went non-finite cannot recover; stop waiting for it
-            if np.all(settled | ~np.isfinite(ay + az)):
+            # NaN compares false: a point gone non-finite cannot recover and settles
+            settled = ~((np.abs(step_y) > NEWTON_TOL * (1.0 + ay))
+                        | (np.abs(step_z) > NEWTON_TOL * (1.0 + az)))
+            if settled.all():
                 break
         # the last Hessian: a point settled earlier sits where it was taken,
         # one that settled on the last step moved by at most NEWTON_TOL
@@ -195,20 +189,21 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
     return ay.reshape(shape), az.reshape(shape), accepted.reshape(shape)
 
 
-def _ascent_step(ay, az, grad_y, grad_z, h_yy, h_zz, h_yz):
-    """|H|^-1 grad, shortened so that no alpha more than halves. The Hessian
-    [[h_yy, h_yz], [h_yz, h_zz]] has the eigenvalues mean +- radius along
-    (cos t, sin t) and (-sin t, cos t)."""
-    mean = 0.5 * (h_yy + h_zz)
-    radius = np.hypot(0.5 * (h_yy - h_zz), h_yz)
-    t = 0.5 * np.arctan2(2.0 * h_yz, h_yy - h_zz)
-    cos, sin = np.cos(t), np.sin(t)
-    along_1 = (cos * grad_y + sin * grad_z) / np.abs(mean + radius)
-    along_2 = (cos * grad_z - sin * grad_y) / np.abs(mean - radius)
-    step_y = cos * along_1 - sin * along_2
-    step_z = sin * along_1 + cos * along_2
-    scale = 0.5 / np.maximum(0.5, np.maximum(-step_y / ay, -step_z / az))
-    return scale * step_y, scale * step_z
+def _ascent_direction(grad_y, grad_z, h_yy, h_zz, h_yz):
+    """(step_y, step_z, det H) for H = [[h_yy, h_yz], [h_yz, h_zz]]: the
+    Newton step n = -H^-1 grad where det H > 0, else |H|^-1 grad. For a
+    symmetric 2x2 H, |H| = (t H + e I) / s with t = tr H, e = |det H| - det H
+    and s = sqrt(t^2 + 2e), so det H <= 0 gives |H|^-1 grad = (t n + 2 grad) / s."""
+    det = h_yy * h_zz - h_yz**2
+    step_y = (h_yz * grad_z - h_zz * grad_y) / det
+    step_z = (h_yz * grad_y - h_yy * grad_z) / det
+    saddle = det <= 0.0
+    if saddle.any():
+        t = h_yy[saddle] + h_zz[saddle]
+        s = np.sqrt(t * t - 4.0 * det[saddle])
+        step_y[saddle] = (t * step_y[saddle] + 2.0 * grad_y[saddle]) / s
+        step_z[saddle] = (t * step_z[saddle] + 2.0 * grad_z[saddle]) / s
+    return step_y, step_z, det
 
 
 def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,

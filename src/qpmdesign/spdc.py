@@ -54,10 +54,11 @@ def overlap_integral(pump: TrialField, a: TrialField, b: TrialField):
     for f in fields:
         if f.width_w != w or f.depth_h != h:
             raise ValueError("all three fields must share the same geometry")
-    a_sum = sum(f.alpha_y**2 for f in fields)
-    b_sum = sum(f.alpha_z**2 for f in fields)
-    prod = math.prod(np.sqrt(f.alpha_y) * f.alpha_z**1.5 for f in fields)
-    return 32.0 * prod / (math.pi * math.sqrt(w * h) * np.sqrt(a_sum) * b_sum**2)
+    # x * x and sqrt, not **: numpy's scalar and array powers may round apart
+    a_sum = sum(f.alpha_y * f.alpha_y for f in fields)
+    b_sum = sum(f.alpha_z * f.alpha_z for f in fields)
+    prod = math.prod(np.sqrt(f.alpha_y) * f.alpha_z * np.sqrt(f.alpha_z) for f in fields)
+    return 32.0 * prod / (math.pi * math.sqrt(w * h) * np.sqrt(a_sum) * (b_sum * b_sum))
 
 
 @dataclass(frozen=True)

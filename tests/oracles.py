@@ -137,14 +137,22 @@ def gauss_legendre_neff2(field: TrialField, geom: WaveguideGeometry, n_b: float,
     of ``neff_quadrature``, all nodes in one array expression, with the
     index profile of ``geom``."""
     k0 = 2.0 * math.pi / (wavelength_nm * 1e-3)
-    ylim = 8.0 * field.width_w / field.alpha_y
-    zlim = 8.0 * field.depth_h / field.alpha_z
+
+    def integrand(y, z):
+        gy, gz = grad(field, y, z)
+        return (-(gy**2 + gz**2) / k0**2
+                + index_profile(geom, n_b, delta_n, y, z) * amplitude(field, y, z) ** 2)
+
+    return gauss_legendre_box(integrand, 8.0 * field.width_w / field.alpha_y,
+                              8.0 * field.depth_h / field.alpha_z, n_nodes)
+
+
+def gauss_legendre_box(integrand, ylim: float, zlim: float, n_nodes: int) -> float:
+    """Tensor Gauss-Legendre rule of ``integrand(y, z)`` over the box
+    [-ylim, ylim] x [-zlim, 0], all nodes in one array expression."""
     xs, wx = np.polynomial.legendre.leggauss(n_nodes)
     y, z = np.meshgrid(xs * ylim, (xs - 1.0) * 0.5 * zlim, indexing="ij")
-    gy, gz = grad(field, y, z)
-    val = (-(gy**2 + gz**2) / k0**2
-           + index_profile(geom, n_b, delta_n, y, z) * amplitude(field, y, z) ** 2)
-    return (wx * ylim) @ val @ (wx * 0.5 * zlim)
+    return (wx * ylim) @ integrand(y, z) @ (wx * 0.5 * zlim)
 
 
 def overlap_integral_quadrature(pump: TrialField, a: TrialField, b: TrialField,

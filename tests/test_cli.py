@@ -358,6 +358,33 @@ class TestSpectrum:
         assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--samples", "3.5"], id="samples=3.5"),
+    pytest.param(["design", "--temperature", "abc"], id="temperature=abc"),
+    pytest.param(["design", "--no-such-flag"], id="unknown-flag"),
+    # "--" as a flag's value, which argparse may read as no value at all
+    pytest.param(["spectrum", "--samples=--"], id="samples=--"),
+    pytest.param(["design", "--config=--"], id="config=--"),
+    pytest.param([], id="no-subcommand"),
+])
+def test_usage_errors_are_config_errors(capsys, argv):
+    """argparse's usage errors exit 1 with one stderr line, not 2 (the code
+    of an infeasible design) with the usage text."""
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qpmdesign")
+
+
 class TestGrating:
     def test_outputs_and_fourier_check(self, tmp_path):
         out = tmp_path / "run"
@@ -412,7 +439,9 @@ CONFIGS = st.fixed_dictionaries({
         st.lists(st.lists(numbers(-0.001, 2000.0), min_size=2, max_size=4), max_size=4),
         st.sampled_from(EDGES)),
 })
-# Flag values of the flag's type, which argparse converts.
+# Flag values of the flag's type, which argparse converts, and tokens that
+# it cannot convert to some or all of those types.
+WRONG_TYPE = st.sampled_from(["abc", "", "3.5", "1,5", "0x10", "--"])
 FLAGS = {
     "--temperature": value(st.floats(20.0, 200.0), -50.0, 300.0, EDGE_NUMBERS),
     "--length-mm": value(st.floats(1.0, 60.0), 0.01, 60.0, EDGE_NUMBERS),
@@ -434,7 +463,7 @@ def invocations(draw):
     for flag in flags:
         if draw(st.booleans()):
             # --flag=value: a value such as -1.0 is not read as a flag
-            argv.append(f"{flag}={draw(FLAGS[flag])!r}")
+            argv.append(f"{flag}={draw(mostly(FLAGS[flag].map(repr), WRONG_TYPE))}")
     return argv
 
 

@@ -109,12 +109,72 @@ def test_tiny_geometry_raises():
     ("extraordinary", 1560.0), ("extraordinary", 1574.0),
 ])
 def test_plane_wave_limit_is_no_mode(material, pol, lam):
-    """Past cutoff of a 3.06 x 8.66 um guide the ascent from (1, 1) slides
-    toward the alpha -> 0 boundary, the plane-wave limit with n_eff == n_b,
-    and never settles: no mode."""
+    """Past cutoff of a 3.06 x 8.66 um guide the steps from (1, 1), each
+    cut so that no alpha more than halves, slide toward the alpha -> 0
+    boundary, the plane-wave limit with n_eff == n_b, and never settle: no
+    mode."""
     ctx = ModeContext(material, WaveguideGeometry(3.06, 8.66))
     with pytest.raises(NoGuidedMode, match="no interior maximum"):
         ctx.solve(pol, lam)
+
+
+def test_abs_hessian_step_matches_eigh():
+    """The closed-form |H|^-1 grad against |H| from an eigendecomposition,
+    for random symmetric 2x2 Hessians with det H <= 0 and concave ones
+    (where it is the Newton step -H^-1 grad). The smaller eigenvalue's
+    magnitude reaches 1e-3 of the larger one's: both computations lose
+    about eps times that ratio's inverse."""
+    rng = np.random.default_rng(19)
+    n = 20_000
+    mag = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    ratio = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    saddle = rng.random(n) < 0.75  # eigenvalues of opposite signs, else both negative
+    big = np.where(saddle, sign, -1.0) * mag
+    small = np.where(saddle, -sign, -1.0) * ratio * mag
+    theta = rng.uniform(0.0, np.pi, n)
+    cos, sin = np.cos(theta), np.sin(theta)
+    h_yy = cos * cos * big + sin * sin * small
+    h_zz = sin * sin * big + cos * cos * small
+    h_yz = cos * sin * (big - small)
+    grad = rng.normal(size=(n, 2))
+    step_y, step_z, det = modesolver._ascent_direction(
+        grad[:, 0], grad[:, 1], h_yy, h_zz, h_yz)
+    hess = np.stack([np.stack([h_yy, h_yz], -1), np.stack([h_yz, h_zz], -1)], -2)
+    values, vectors = np.linalg.eigh(hess)
+    along = np.einsum("nji,nj->ni", vectors, grad) / np.abs(values)
+    ref = np.einsum("nij,nj->ni", vectors, along)
+    np.testing.assert_array_equal(det <= 0.0, saddle)
+    err = np.hypot(step_y - ref[:, 0], step_z - ref[:, 1]) / np.hypot(*ref.T)
+    assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("width, depth, pol, lam", [
+    (10.0, 10.0, "ordinary", 780.0),
+    (6.0, 6.5, "extraordinary", 1570.0),
+    (3.06, 8.66, "extraordinary", 1560.0),  # past cutoff
+    (8.25, 3.0, "ordinary", 1600.0),  # past cutoff
+])
+def test_newton_keeps_alphas_positive(material, monkeypatch, width, depth, pol, lam):
+    """From seeds spread over [0.05, 12]^2, guided or past cutoff, the
+    halving cap keeps every alpha positive, through steps with det H <= 0
+    too."""
+    n_b = material.sellmeier(pol).index(lam)
+    dn = material.increments.increment(pol, lam)
+    seeds = np.linspace(0.05, 12.0, 40)
+    ay0, az0 = (a.ravel() for a in np.meshgrid(seeds, seeds, indexing="ij"))
+    saddle_steps = []
+
+    def counted(*args):
+        step_y, step_z, det = direction(*args)
+        saddle_steps.append(np.count_nonzero(det <= 0.0))
+        return step_y, step_z, det
+
+    direction = modesolver._ascent_direction
+    monkeypatch.setattr(modesolver, "_ascent_direction", counted)
+    ay, az, _ = modesolver._newton(width, depth, n_b, dn, lam, ay0, az0)
+    assert np.all(ay > 0.0) and np.all(az > 0.0)
+    assert sum(saddle_steps) > 0
 
 
 def test_variational_bound():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from qpmdesign import (
     WaveguideGeometry,
@@ -16,7 +15,7 @@ from qpmdesign import (
 from qpmdesign.modesolver import TrialField
 from qpmdesign.spdc import ProcessAmplitudes
 
-from oracles import amplitude, index_profile
+from oracles import amplitude, gauss_legendre_box, index_profile
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -46,11 +45,11 @@ def test_gamma_unity_when_magnitudes_match(c, phase):
        st.floats(min_value=4.0, max_value=14.0),
        st.floats(min_value=4.0, max_value=14.0))
 def test_trial_field_unit_norm(ay, az, w, h):
+    # a 100-node rule per axis integrates these Gaussians to ~1e-14;
+    # test_trial_field_normalized keeps adaptive quadrature as the cross-check
     field = TrialField(ay, az, w, h)
-    ylim = 10.0 * w / ay
-    zlim = 10.0 * h / az
-    val, _ = integrate.dblquad(lambda z, y: amplitude(field, y, z) ** 2,
-                               -ylim, ylim, -zlim, 0.0, epsabs=1e-10)
+    val = gauss_legendre_box(lambda y, z: amplitude(field, y, z) ** 2,
+                             10.0 * w / ay, 10.0 * h / az, 100)
     assert val == pytest.approx(1.0, abs=1e-7)
 
 
