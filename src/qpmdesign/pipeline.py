@@ -23,6 +23,7 @@ from .dispersion import (
     load_sellmeier_sets,
     normalize_polarization,
 )
+from .errors import ConfigError
 from .modesolver import ModalSolution, TrialField, group_index, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import ProcessAmplitudes
@@ -124,20 +125,24 @@ class DesignResult:
         signal and idler modes at every wavelength are solved in one
         ``solve_mode`` call.
         """
-        lam_s = np.asarray(lambda_s_nm, dtype=float)
-        lam_i = self.spec.idler_for(lam_s)
+        lam_i = self.spec.idler_for(lambda_s_nm)  # by energy conservation
         so, se, io, ie = self.context.solve_many([
-            ("ordinary", lam_s), ("extraordinary", lam_s),
+            ("ordinary", lambda_s_nm), ("extraordinary", lambda_s_nm),
             ("ordinary", lam_i), ("extraordinary", lam_i),
         ])
         return spdc.relative_amplitudes(self.modes["po"], so, se, io, ie,
-                                        self.design, self.spec, lam_s)
+                                        self.design, self.spec.length_mm)
 
     def spectra(self, half_range_nm: float = 10.0, n_samples: int = 2001):
         """Sampled normalized spectra of both processes around the design point.
 
         Returns (lambda_grid_nm, intensity_oe, intensity_eo, fwhm_oe, fwhm_eo).
+        Fewer than 3 samples or a half-range that is not positive and finite
+        raise ConfigError.
         """
+        if n_samples < 3 or not 0.0 < half_range_nm < np.inf:
+            raise ConfigError(f"a spectrum needs at least 3 samples and a positive, finite "
+                              f"half-range, got {n_samples} and {half_range_nm} nm")
         grid = np.linspace(self.spec.lambda_s_nm - half_range_nm,
                            self.spec.lambda_s_nm + half_range_nm, n_samples)
         amps = self.amplitudes_at(grid)
@@ -196,10 +201,8 @@ def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
         ("ordinary", spec.lambda_s_nm), ("extraordinary", spec.lambda_s_nm),
         ("ordinary", spec.lambda_i_nm), ("extraordinary", spec.lambda_i_nm),
     ])
-    k1, k2 = required_frequencies(spec, po.n_eff, so.n_eff, se.n_eff,
-                                  io.n_eff, ie.n_eff)
-    design = periods_from_frequencies(k1, k2)
-    amps = spdc.relative_amplitudes(po, so, se, io, ie, design, spec)
+    design = periods_from_frequencies(*required_frequencies(po, so, se, io, ie))
+    amps = spdc.relative_amplitudes(po, so, se, io, ie, design, spec.length_mm)
     g = spdc.gamma(amps)
     n_so, n_se, n_io, n_ie = (group_index(m, ctx.indices) for m in (so, se, io, ie))
     bw_oe, bw_eo = spdc.bandwidth_approx(n_so, n_se, n_io, n_ie,

@@ -143,30 +143,28 @@ def _blocks(flips, jumps, half):
     return (*_split(x[:, 0]), offsets, np.concatenate([w, w * ((x - x[:, :1]) - offsets)]))
 
 
-def phase_matching_k(spec: InteractionSpec, n_p, n_s, n_i, lambda_s_nm=None):
+def phase_matching_k(pump, signal, idler):
     """Grating frequency 2 pi (n_p/lp - n_s/ls - n_i/li) (rad/um) that
-    phase-matches one process.
+    phase-matches one process, from three solved modes.
 
-    The idler is slaved to ``lambda_s_nm`` (default: the design signal) by
-    energy conservation at fixed pump. Broadcasts over numpy arrays of
-    indices and signal wavelengths. The residual mismatch of a process is
-    its grating frequency minus this value.
+    Each mode enters with its own ``n_eff`` and ``wavelength_nm``, so the
+    modes must satisfy energy conservation where they were solved. Signal
+    and idler may be batches over signal wavelength. The residual mismatch
+    of a process is its grating frequency minus this value.
     """
-    ls_nm = spec.lambda_s_nm if lambda_s_nm is None else lambda_s_nm
-    li_nm = spec.idler_for(ls_nm)
-    return TWO_PI * (n_p / (spec.lambda_p_nm * 1e-3) - n_s / (ls_nm * 1e-3)
-                     - n_i / (li_nm * 1e-3))
+    return TWO_PI * (pump.n_eff / (pump.wavelength_nm * 1e-3)
+                     - signal.n_eff / (signal.wavelength_nm * 1e-3)
+                     - idler.n_eff / (idler.wavelength_nm * 1e-3))
 
 
-def required_frequencies(spec: InteractionSpec, n_po: float, n_so: float,
-                         n_se: float, n_io: float, n_ie: float) -> tuple[float, float]:
-    """QPM spatial frequencies for the two processes (rad/um).
+def required_frequencies(po, so, se, io, ie) -> tuple[float, float]:
+    """QPM spatial frequencies (rad/um) of the two processes from five modes.
 
     K1 phase-matches (signal-o, idler-e), K2 (signal-e, idler-o); see
     ``phase_matching_k``.
     """
-    k1 = phase_matching_k(spec, n_po, n_so, n_ie)
-    k2 = phase_matching_k(spec, n_po, n_se, n_io)
+    k1 = phase_matching_k(po, so, ie)
+    k2 = phase_matching_k(po, se, io)
     if k1 <= 0.0 or k2 <= 0.0:
         raise NonPositiveFrequency(
             f"K1 = {k1:.6g}, K2 = {k2:.6g} rad/um: first-order QPM infeasible"

@@ -24,7 +24,7 @@ from .errors import (
     UndefinedGamma,
 )
 from .modesolver import ModalSolution, TrialField
-from .qpm import GratingDesign, InteractionSpec, phase_matching_k
+from .qpm import GratingDesign, phase_matching_k
 
 # Samples of the filter window that filtered_gamma averages over.
 FILTER_SAMPLES = 33
@@ -54,11 +54,13 @@ def overlap_integral(pump: TrialField, a: TrialField, b: TrialField):
     for f in fields:
         if f.width_w != w or f.depth_h != h:
             raise ValueError("all three fields must share the same geometry")
-    # x * x and sqrt, not **: numpy's scalar and array powers may round apart
-    a_sum = sum(f.alpha_y * f.alpha_y for f in fields)
-    b_sum = sum(f.alpha_z * f.alpha_z for f in fields)
-    prod = math.prod(np.sqrt(f.alpha_y) * f.alpha_z * np.sqrt(f.alpha_z) for f in fields)
-    return 32.0 * prod / (math.pi * math.sqrt(w * h) * np.sqrt(a_sum) * (b_sum * b_sum))
+    # x * x and sqrt, not **: numpy's scalar and array powers may round apart.
+    # The signal-idler pair combines first, so swapping a and b is exact.
+    sum_y = pump.alpha_y * pump.alpha_y + (a.alpha_y * a.alpha_y + b.alpha_y * b.alpha_y)
+    sum_z = pump.alpha_z * pump.alpha_z + (a.alpha_z * a.alpha_z + b.alpha_z * b.alpha_z)
+    lobe_p, lobe_a, lobe_b = (np.sqrt(f.alpha_y) * f.alpha_z * np.sqrt(f.alpha_z) for f in fields)
+    prod = lobe_p * (lobe_a * lobe_b)
+    return 32.0 * prod / (math.pi * math.sqrt(w * h) * np.sqrt(sum_y) * (sum_z * sum_z))
 
 
 @dataclass(frozen=True)
@@ -82,20 +84,16 @@ class ProcessAmplitudes:
 
 def relative_amplitudes(po: ModalSolution, so: ModalSolution, se: ModalSolution,
                         io: ModalSolution, ie: ModalSolution,
-                        design: GratingDesign, spec: InteractionSpec,
-                        lambda_s_nm: float | None = None) -> ProcessAmplitudes:
-    """Amplitudes from five mode solutions and the grating design.
-
-    The solutions must be solved at the evaluation wavelengths: ``so``/``se``
-    at ``lambda_s_nm`` (default: the design signal wavelength) and
-    ``io``/``ie`` at the idler slaved to it by energy conservation. Signal
-    and idler modes may be batches over an array of ``lambda_s_nm``.
+                        design: GratingDesign, length_mm: float) -> ProcessAmplitudes:
+    """Amplitudes from five mode solutions, the grating design and the
+    interaction length. Each mismatch is taken at the modes' own wavelengths
+    (``phase_matching_k``); signal and idler modes may be batches.
     """
-    dk_oe = design.K1 - phase_matching_k(spec, po.n_eff, so.n_eff, ie.n_eff, lambda_s_nm)
-    dk_eo = design.K2 - phase_matching_k(spec, po.n_eff, se.n_eff, io.n_eff, lambda_s_nm)
+    dk_oe = design.K1 - phase_matching_k(po, so, ie)
+    dk_eo = design.K2 - phase_matching_k(po, se, io)
     i_oe = overlap_integral(po.field, so.field, ie.field)
     i_eo = overlap_integral(po.field, se.field, io.field)
-    half_l = 0.5 * spec.length_mm * 1e3  # um
+    half_l = 0.5 * length_mm * 1e3  # um
     c_oe = (i_oe / (so.n_eff * ie.n_eff)) * np.exp(-1j * dk_oe * half_l) * sinc(dk_oe * half_l)
     c_eo = (i_eo / (se.n_eff * io.n_eff)) * np.exp(-1j * dk_eo * half_l) * sinc(dk_eo * half_l)
     return ProcessAmplitudes(

@@ -295,9 +295,8 @@ def reference_design_point(spec, geometry, material) -> dict:
     se = ctx.solve("extraordinary", spec.lambda_s_nm)
     io = ctx.solve("ordinary", spec.lambda_i_nm)
     ie = ctx.solve("extraordinary", spec.lambda_i_nm)
-    design = periods_from_frequencies(*required_frequencies(
-        spec, po.n_eff, so.n_eff, se.n_eff, io.n_eff, ie.n_eff))
-    amps = relative_amplitudes(po, so, se, io, ie, design, spec)
+    design = periods_from_frequencies(*required_frequencies(po, so, se, io, ie))
+    amps = relative_amplitudes(po, so, se, io, ie, design, spec.length_mm)
     bw_oe, bw_eo = spdc.bandwidth_approx(
         *(group_index(m, ctx.indices) for m in (so, se, io, ie)),
         spec.lambda_s_nm, spec.length_mm)
@@ -318,7 +317,7 @@ def reference_amplitudes(result, lambda_s_nm: float) -> ProcessAmplitudes:
         ctx.solve("extraordinary", lambda_s_nm),
         ctx.solve("ordinary", lam_i),
         ctx.solve("extraordinary", lam_i),
-        result.design, result.spec, lambda_s_nm,
+        result.design, result.spec.length_mm,
     )
 
 

@@ -115,8 +115,10 @@ class TestExitCodes:
             pol: {**entry, "coefficients": entry["coefficients"][:6]}
             for pol, entry in PACKAGED_SELLMEIER["sets"].items()}}),
         json.dumps({**PACKAGED_SELLMEIER, "wavelength_range_nm": [400.0]}),
+        json.dumps({**PACKAGED_SELLMEIER, "sets": {
+            "ordinary": PACKAGED_SELLMEIER["sets"]["ordinary"]}}),
     ], ids=["missing", "not_json", "no_sets", "no_t0_c", "not_an_object",
-            "six_coefficients", "one_element_range"])
+            "six_coefficients", "one_element_range", "one_polarization"])
     def test_bad_sellmeier_file_is_config_error(self, tmp_path, capsys, content):
         table = tmp_path / "sellmeier.json"
         if content is not None:
@@ -127,6 +129,26 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("config error:")
             assert str(table) in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("not json {", "is not valid JSON", id="not-json"),
+        pytest.param("[]", "config root must be a JSON object", id="list-root"),
+        pytest.param(json.dumps({"index_increments": [[519.0, 0.0038, 0.0037],
+                                                      [780.0, 0.0034, 0.01]]}),
+                     "must lie in [0, 0.01)", id="increment=0.01"),
+        pytest.param(json.dumps({"index_increments": [[519.0, -1e-4, 0.0037],
+                                                      [780.0, 0.0034, 0.003]]}),
+                     "must lie in [0, 0.01)", id="increment<0"),
+    ])
+    def test_bad_config_file_exits_1_in_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["design", "--config", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1
 
     def test_temperature_outside_sellmeier_range(self, tmp_path, capsys):
         """--dump-config and design reject the same temperature with the
@@ -419,6 +441,13 @@ def value(typical, lo, hi, edges=EDGES):
     return mostly(typical, numbers(lo, hi), st.sampled_from(edges))
 
 
+def with_increment(row, column, bad):
+    """The default increment table with one increment replaced by ``bad``."""
+    table = [list(r) for r in config.DEFAULT_INCREMENTS]
+    table[row][column] = bad
+    return table
+
+
 SIZE = value(st.floats(2.0, 20.0), 0.05, 2000.0)
 GEOMETRY = mostly(SIZE, st.lists(SIZE, max_size=3))
 # The nine config keys, each present or not, except the idler: its default
@@ -437,8 +466,13 @@ CONFIGS = st.fixed_dictionaries({
     "index_increments": mostly(
         st.just([list(row) for row in config.DEFAULT_INCREMENTS]),
         st.lists(st.lists(numbers(-0.001, 2000.0), min_size=2, max_size=4), max_size=4),
+        st.builds(with_increment, st.integers(0, 2), st.integers(1, 2),
+                  st.one_of(st.floats(0.01, 1.0), st.floats(-1.0, -1e-9))),
         st.sampled_from(EDGES)),
 })
+# How the config file holds the drawn config: mostly as a JSON object, else
+# as text that is not JSON or as a JSON list.
+LAYOUTS = st.sampled_from(["object"] * 8 + ["not_json", "list_root"])
 # Flag values of the flag's type, which argparse converts, and tokens that
 # it cannot convert to some or all of those types.
 WRONG_TYPE = st.sampled_from(["abc", "", "3.5", "1,5", "0x10", "--"])
@@ -485,14 +519,15 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=CONFIGS, argv=invocations())
-def test_any_input_exits_cleanly(fuzz_dir, doc, argv):
-    """Every config and argument list ends in exit 0, 1 or 2, never in an
-    uncaught exception, and an error exit writes one stderr line."""
+@given(doc=CONFIGS, layout=LAYOUTS, argv=invocations())
+def test_any_input_exits_cleanly(fuzz_dir, doc, layout, argv):
+    """Every config file and argument list ends in exit 0, 1 or 2, never in
+    an uncaught exception, and an error exit writes one stderr line."""
     if isinstance(doc.get("sellmeier_file"), str):
         doc["sellmeier_file"] = str(fuzz_dir / f"{doc['sellmeier_file']}.json")
     path = fuzz_dir / "config.json"
-    path.write_text(json.dumps(doc))
+    text = json.dumps([doc] if layout == "list_root" else doc)
+    path.write_text(text[:-1] if layout == "not_json" else text)
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qpmdesign import OutOfRange, WaveguideGeometry
-from qpmdesign.dispersion import DEFAULT_INCREMENTS, IndexIncrementTable, load_sellmeier_sets
+from qpmdesign import ConfigError, OutOfRange, WaveguideGeometry
+from qpmdesign.dispersion import (DEFAULT_INCREMENTS, IndexIncrementTable, load_sellmeier_sets,
+                                  normalize_polarization)
 
 from oracles import index_profile
 
@@ -108,3 +109,8 @@ def test_profile_even_in_y():
     left = index_profile(GEOM, NB, DN, -ys, np.full_like(ys, -2.0))
     right = index_profile(GEOM, NB, DN, ys, np.full_like(ys, -2.0))
     np.testing.assert_allclose(left, right, rtol=0.0, atol=0.0)
+
+
+def test_unknown_polarization_rejected():
+    with pytest.raises(ConfigError, match="unknown polarization 'x'"):
+        normalize_polarization("x")

@@ -76,6 +76,11 @@ def test_trial_field_vanishes_in_cover():
     assert amplitude(field, 0.0, -5.0) > 0.0
 
 
+def test_trial_field_needs_positive_alphas():
+    with pytest.raises(ValueError, match="must be positive"):
+        TrialField(0.0, 1.0, 10, 10)
+
+
 def test_solve_mode_bracket():
     sol = solve_mode(GEOM, NB, DN, LAM)
     assert NB < sol.n_eff < NB + 0.005

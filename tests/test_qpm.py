@@ -16,6 +16,7 @@ from qpmdesign import (
     required_frequencies,
     synthesize_pattern,
 )
+from qpmdesign.modesolver import ModalSolution, TrialField
 from qpmdesign.qpm import MAX_PATTERN_FLIPS, export_pattern_csv
 
 from oracles import reference_boundaries, reference_fourier_component, sign_at
@@ -59,30 +60,42 @@ class TestInteractionSpec:
         assert "[" not in str(info.value)
 
 
+def _mode(wavelength_nm, n_eff):
+    return ModalSolution(wavelength_nm=wavelength_nm, polarization="ordinary",
+                         n_eff=n_eff, n_bulk=n_eff, delta_n=0.0,
+                         field=TrialField(1.0, 1.0, 10.0, 10.0))
+
+
 class TestRequiredFrequencies:
     def test_isotropic_symmetry(self):
         spec = InteractionSpec(519.0, 780.0)
-        k1, k2 = required_frequencies(spec, 2.33, 2.26, 2.26, 2.21, 2.21)
+        p, s, i = (_mode(spec.lambda_p_nm, 2.33), _mode(spec.lambda_s_nm, 2.26),
+                   _mode(spec.lambda_i_nm, 2.21))
+        k1, k2 = required_frequencies(p, s, s, i, i)
         assert k1 == pytest.approx(k2, rel=1e-15)
 
     def test_infeasible_combination(self):
         spec = InteractionSpec(519.0, 780.0)
+        modes = [_mode(lam, n) for lam, n in (
+            (spec.lambda_p_nm, 2.2), (spec.lambda_s_nm, 2.26), (spec.lambda_s_nm, 2.18),
+            (spec.lambda_i_nm, 2.21), (spec.lambda_i_nm, 2.14))]
         with pytest.raises(NonPositiveFrequency):
-            required_frequencies(spec, 2.2, 2.26, 2.18, 2.21, 2.14)
+            required_frequencies(*modes)
 
     def test_phase_matching_k_broadcasts_over_signal(self):
         spec = InteractionSpec(519.0, 780.0)
         lams = np.array([776.0, 780.0, 784.5])
+        lams_i = spec.idler_for(lams)
         n_s = np.array([2.261, 2.26, 2.259])
         n_i = np.array([2.209, 2.21, 2.211])
-        batch = phase_matching_k(spec, 2.33, n_s, n_i, lams)
-        single = [phase_matching_k(spec, 2.33, s, i, lam)
-                  for s, i, lam in zip(n_s, n_i, lams)]
+        pump = _mode(519.0, 2.33)
+        batch = phase_matching_k(pump, _mode(lams, n_s), _mode(lams_i, n_i))
+        single = [phase_matching_k(pump, _mode(lam, s), _mode(lam_i, i))
+                  for lam, s, lam_i, i in zip(lams, n_s, lams_i, n_i)]
         np.testing.assert_array_equal(batch, single)
-        assert batch[1] == phase_matching_k(spec, 2.33, 2.26, 2.21)
-        # idler slaved by energy conservation: 1/lp = 1/ls + 1/li
-        li_um = 1e-3 * spec.idler_for(776.0)
-        expected = TWO_PI * (2.33 / 0.519 - 2.261 / 0.776 - 2.209 / li_um)
+        assert batch[1] == phase_matching_k(pump, _mode(780.0, 2.26),
+                                            _mode(spec.lambda_i_nm, 2.21))
+        expected = TWO_PI * (2.33 / 0.519 - 2.261 / 0.776 - 2.209 / (1e-3 * lams_i[0]))
         assert batch[0] == pytest.approx(expected, rel=1e-14)
 
 

@@ -62,10 +62,11 @@ class TestOverlap:
         assert val > 0.0
 
     def test_symmetric_in_signal_idler(self):
-        p = TrialField(2.0, 2.1, 10.0, 10.0)
-        a = TrialField(1.4, 1.5, 10.0, 10.0)
-        b = TrialField(1.1, 1.2, 10.0, 10.0)
-        assert overlap_integral(p, a, b) == overlap_integral(p, b, a)
+        """Swapping signal and idler keeps every bit, on 20,000 seeded triples."""
+        rng = np.random.default_rng(20)
+        p, a, b = (TrialField(*rng.uniform(0.05, 12.0, size=(2, 20_000)), 10.0, 10.0)
+                   for _ in range(3))
+        assert overlap_integral(p, a, b).tobytes() == overlap_integral(p, b, a).tobytes()
 
     def test_mixed_geometry_rejected(self):
         p = TrialField(1.0, 1.0, 10.0, 10.0)
@@ -104,6 +105,24 @@ class TestAmplitudes:
         lam_null = spec.lambda_s_nm + reference_result.bandwidth_oe_nm
         a = reference_result.amplitudes_at(lam_null)
         assert abs(a.C_oe_rel) < 0.05 * abs(a.C_eo_rel)
+
+    def test_mismatch_at_the_modes_own_wavelengths(self, reference_result):
+        """An idler solved off the energy-conservation curve enters with its
+        own wavelength: delta_k = K - 2 pi (n_p/lp - n_s/ls - n_i/li)."""
+        design, po = reference_result.design, reference_result.modes["po"]
+        lam_i = np.array([1540.0, 1560.0])
+        so, se, io, ie = reference_result.context.solve_many([("ordinary", np.full(2, 780.0)),
+                                         ("extraordinary", np.full(2, 780.0)),
+                                         ("ordinary", lam_i), ("extraordinary", lam_i)])
+        a = relative_amplitudes(po, so, se, io, ie, design, 10.0)
+
+        def k(p, s, i):
+            return 2 * math.pi * (p.n_eff / (1e-3 * p.wavelength_nm)
+                                  - s.n_eff / 0.78 - i.n_eff / (1e-3 * lam_i))
+
+        np.testing.assert_allclose(a.delta_k_oe, design.K1 - k(po, so, ie), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(a.delta_k_eo, design.K2 - k(po, se, io), rtol=1e-12, atol=1e-12)
+        assert np.all(np.abs(a.delta_k_oe) > 1e-3)  # off the design: not phase-matched
 
     def test_phase_tracked(self, reference_result):
         a = reference_result.amplitudes_at(reference_result.spec.lambda_s_nm + 0.05)
@@ -172,6 +191,12 @@ class TestSpectrum:
         curve = spectrum(_delta_k_oe(reference_result, grid),
                          reference_result.spec.length_mm)
         assert curve[0] == pytest.approx(curve[2], rel=0.05)
+
+    @pytest.mark.parametrize("half_range_nm, n_samples", [
+        (10.0, 0), (10.0, 2), (-5.0, 11), (0.0, 11), (math.nan, 11), (math.inf, 11)])
+    def test_unsampleable_window_rejected(self, reference_result, half_range_nm, n_samples):
+        with pytest.raises(ConfigError, match="at least 3 samples and a positive, finite"):
+            reference_result.spectra(half_range_nm, n_samples)
 
     def test_crossing_outside_window_names_window(self):
         grid = np.linspace(-0.01, 0.01, 21)
