@@ -86,10 +86,8 @@ class DesignConfig:
                 for d, w in pairs]
 
     def _check_types(self):
-        for name in ("lambda_p_nm", "lambda_s_nm", "temperature_c", "length_mm"):
-            check_number(name, getattr(self, name))
-        if self.lambda_i_nm is not None:
-            check_number("lambda_i_nm", self.lambda_i_nm)
+        """The geometry and material fields; ``InteractionSpec`` checks the
+        other numbers."""
         for name in ("width_um", "depth_um"):
             value = getattr(self, name)
             for item in value if isinstance(value, list) else [value]:

@@ -17,7 +17,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, OutOfRange, check_number
+from .errors import ConfigError, OutOfRange, check_number, is_number
 
 Polarization = Literal["ordinary", "extraordinary"]
 
@@ -198,6 +198,7 @@ class WaveguideGeometry:
 
     def __post_init__(self):
         lo, hi = GEOMETRY_RANGE_UM
-        if not (lo <= self.width_w <= hi and lo <= self.depth_h <= hi):
+        if not all(is_number(size) and lo <= size <= hi
+                   for size in (self.width_w, self.depth_h)):
             raise ConfigError(f"waveguide width and depth must lie in [{lo}, {hi}] um, "
                               f"got w = {self.width_w} um, h = {self.depth_h} um")

@@ -41,8 +41,13 @@ class ConfigError(QpmDesignError):
     """Invalid or inconsistent run configuration."""
 
 
+def is_number(value) -> bool:
+    """A finite int or float (bool excluded; numpy's float64 is a float)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def check_number(name: str, value) -> None:
     """ConfigError unless ``value`` is a finite int or float (bool excluded)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not is_number(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")

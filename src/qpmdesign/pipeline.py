@@ -23,7 +23,7 @@ from .dispersion import (
     load_sellmeier_sets,
     normalize_polarization,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FilterTooWide, is_number
 from .modesolver import ModalSolution, TrialField, group_index, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import ProcessAmplitudes
@@ -137,14 +137,10 @@ class DesignResult:
         """Sampled normalized spectra of both processes around the design point.
 
         Returns (lambda_grid_nm, intensity_oe, intensity_eo, fwhm_oe, fwhm_eo).
-        Fewer than 3 samples or a half-range that is not positive and finite
-        raise ConfigError.
+        The grid is ``spec.signal_grid(half_range_nm, n_samples)``, which
+        raises ConfigError for a window it cannot sample.
         """
-        if n_samples < 3 or not 0.0 < half_range_nm < np.inf:
-            raise ConfigError(f"a spectrum needs at least 3 samples and a positive, finite "
-                              f"half-range, got {n_samples} and {half_range_nm} nm")
-        grid = np.linspace(self.spec.lambda_s_nm - half_range_nm,
-                           self.spec.lambda_s_nm + half_range_nm, n_samples)
+        grid = self.spec.signal_grid(half_range_nm, n_samples)
         amps = self.amplitudes_at(grid)
         length = self.spec.length_mm
         i_oe = spdc.spectrum(amps.delta_k_oe, length)
@@ -152,12 +148,24 @@ class DesignResult:
         return grid, i_oe, i_eo, spdc.fwhm(grid, i_oe), spdc.fwhm(grid, i_eo)
 
     def filtered_gamma(self, filter_fwhm_nm: float) -> float:
-        # The bandpass filter sits on the idler arm; coincidence detection
-        # maps it onto a conjugate signal-side window.
-        compression = (self.spec.lambda_s_nm / self.spec.lambda_i_nm) ** 2
-        return spdc.filtered_gamma(self.amplitudes_at, self.spec.lambda_s_nm,
-                                   filter_fwhm_nm, self.bandwidth_oe_nm,
-                                   self.bandwidth_eo_nm, compression)
+        """Gamma after a rectangular bandpass filter on the idler arm, which
+        coincidence detection maps onto a signal window of width
+        ``filter_fwhm_nm * (lambda_s / lambda_i)**2``, sampled by
+        ``spec.signal_grid``. Zero width returns ``gamma`` without a solve; a
+        width that is not a finite number >= 0 raises ConfigError, one not
+        below the narrower bandwidth FilterTooWide (bandwidth
+        distinguishability would be conflated)."""
+        if not (is_number(filter_fwhm_nm) and filter_fwhm_nm >= 0.0):
+            raise ConfigError(f"filter width {filter_fwhm_nm} nm must be finite and not negative")
+        narrow = min(self.bandwidth_oe_nm, self.bandwidth_eo_nm)
+        if filter_fwhm_nm >= narrow:
+            raise FilterTooWide(f"filter width {filter_fwhm_nm} nm not below the narrower "
+                                f"process bandwidth {narrow} nm")
+        if filter_fwhm_nm == 0.0:
+            return self.gamma
+        window = filter_fwhm_nm * (self.spec.lambda_s_nm / self.spec.lambda_i_nm) ** 2
+        grid = self.spec.signal_grid(0.5 * window, spdc.FILTER_SAMPLES)
+        return spdc.filtered_gamma(grid, self.amplitudes_at(grid), window)
 
     def to_dict(self) -> dict:
         """The design figures as a JSON-ready dict."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ from .errors import (
     ConfigError,
     DegenerateModulation,
     NonPositiveFrequency,
+    check_number,
+    is_number,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +47,7 @@ class InteractionSpec:
     Energy conservation (1/lp = 1/ls + 1/li) is enforced exactly: a supplied
     idler wavelength within ENERGY_SNAP_RTOL of the conserving value is
     snapped onto it, anything farther off raises ConfigError. Omit
-    ``lambda_i_nm`` to have it derived.
+    ``lambda_i_nm`` to have it derived. Every number must be finite.
     """
 
     lambda_p_nm: float
@@ -54,6 +57,10 @@ class InteractionSpec:
     length_mm: float = 10.0
 
     def __post_init__(self):
+        for name in ("lambda_p_nm", "lambda_s_nm", "temperature_c", "length_mm"):
+            check_number(name, getattr(self, name))
+        if self.lambda_i_nm is not None:
+            check_number("lambda_i_nm", self.lambda_i_nm)
         if self.lambda_p_nm <= 0 or self.lambda_s_nm <= 0:
             raise ConfigError("wavelengths must be positive")
         if self.length_mm <= 0:
@@ -78,7 +85,10 @@ class InteractionSpec:
 
         Broadcasts over an array of signal wavelengths.
         """
-        lam_s = np.asarray(lambda_s_nm, dtype=float)
+        try:
+            lam_s = np.asarray(lambda_s_nm, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"signal wavelength {lambda_s_nm!r} is not a number") from None
         bad = ~(lam_s > self.lambda_p_nm)
         if np.any(bad):
             raise ConfigError(
@@ -86,6 +96,22 @@ class InteractionSpec:
                 f"{self.lambda_p_nm} nm: the signal must be longer than the pump"
             )
         return 1.0 / (1.0 / self.lambda_p_nm - 1.0 / lam_s)
+
+    def signal_grid(self, half_range_nm, n_samples: int) -> np.ndarray:
+        """The ``n_samples`` evenly spaced signal wavelengths over lambda_s
+        +- ``half_range_nm``, the one window rule: ConfigError unless the
+        count is an integer >= 3 and the half-range a positive, finite number
+        that keeps the lower edge above the pump (no idler there)."""
+        if not (isinstance(n_samples, numbers.Integral) and n_samples >= 3
+                and is_number(half_range_nm) and half_range_nm > 0.0):
+            raise ConfigError(f"a signal window needs at least 3 samples and a positive, "
+                              f"finite half-range, got {n_samples} and {half_range_nm} nm")
+        lower = self.lambda_s_nm - half_range_nm
+        if lower <= self.lambda_p_nm:
+            raise ConfigError(f"a half-range of {half_range_nm} nm puts the window's lower "
+                              f"edge at {lower} nm, not above the pump wavelength "
+                              f"{self.lambda_p_nm} nm")
+        return np.linspace(lower, self.lambda_s_nm + half_range_nm, n_samples)
 
 
 @dataclass(frozen=True)
@@ -178,6 +204,8 @@ def periods_from_frequencies(K1: float, K2: float) -> GratingDesign:
     K0 = (K1 + K2)/2, Kp = |K1 - K2|/2; works for either ordering of the two
     frequencies. Raises DegenerateModulation when K1 = K2.
     """
+    check_number("K1", K1)
+    check_number("K2", K2)
     if K1 <= 0.0 or K2 <= 0.0:
         raise NonPositiveFrequency("spatial frequencies must be positive")
     if math.isclose(K1, K2, rel_tol=1e-12, abs_tol=0.0):
@@ -204,6 +232,7 @@ def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern
     product sign unchanged and is dropped. A pattern of more than
     MAX_PATTERN_FLIPS flips is refused with ConfigError.
     """
+    check_number("length_mm", length_mm)
     length_um = length_mm * 1e3
     if length_um <= design.Lambdap:
         raise ConfigError(
@@ -264,6 +293,7 @@ def fourier_component(pattern: PolingPattern, K: float) -> complex:
     over an integer number of modulation periods the magnitude approaches
     4/pi^2, with opposite signs for the two components.
     """
+    check_number("K", K)
     length = pattern.length_um
     if K == 0.0:  # the mean sign; the domains alternate +1, -1 from x = 0
         widths = np.diff(pattern.domain_boundaries, prepend=0.0, append=length)

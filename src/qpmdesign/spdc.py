@@ -12,21 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateGroupIndices,
-    FilterTooWide,
-    OutOfRange,
-    UndefinedGamma,
-)
+from .errors import DegenerateGroupIndices, OutOfRange, UndefinedGamma
 from .modesolver import ModalSolution, TrialField
 from .qpm import GratingDesign, phase_matching_k
 
-# Samples of the filter window that filtered_gamma averages over.
+# Samples of the filter window that DesignResult.filtered_gamma averages over.
 FILTER_SAMPLES = 33
 
 
@@ -173,40 +167,12 @@ def fwhm(lambda_grid_nm: Sequence[float], intensity: Sequence[float]) -> float:
     return abs(cross(ipk, +1) - cross(ipk, -1))
 
 
-def filtered_gamma(amplitudes_at: Callable[..., ProcessAmplitudes],
-                   design_lambda_s_nm: float, filter_fwhm_nm: float,
-                   bandwidth_oe_nm: float, bandwidth_eo_nm: float,
-                   conjugate_compression: float) -> float:
-    """Entanglement degree after a rectangular bandpass filter.
-
-    The filter sits on the idler arm (coincidence detection makes it act
-    non-locally on the pair). Energy conservation maps its width onto a
-    signal-side window of ``filter_fwhm_nm * conjugate_compression`` where
-    ``conjugate_compression = (lambda_s / lambda_i)**2``. Each process's
-    amplitude magnitude is averaged over that window and gamma is the
-    min/max ratio of the averages. ``amplitudes_at`` maps a signal
-    wavelength, or an array of them, to the amplitudes there; it is called
-    once. A width of 0 gives the unfiltered gamma; a negative or non-finite
-    width raises ConfigError. The filter must be narrower than the narrower
-    process bandwidth, otherwise bandwidth distinguishability is conflated
-    and FilterTooWide is raised.
-    """
-    if not 0.0 <= filter_fwhm_nm < math.inf:
-        raise ConfigError(f"filter width {filter_fwhm_nm} nm must be finite and not negative")
-    narrow = min(bandwidth_oe_nm, bandwidth_eo_nm)
-    if filter_fwhm_nm >= narrow:
-        raise FilterTooWide(
-            f"filter width {filter_fwhm_nm} nm not below the narrower process "
-            f"bandwidth {narrow} nm"
-        )
-    if filter_fwhm_nm == 0.0:
-        return gamma(amplitudes_at(design_lambda_s_nm))
-    window = filter_fwhm_nm * conjugate_compression
-    grid = np.linspace(design_lambda_s_nm - 0.5 * window,
-                       design_lambda_s_nm + 0.5 * window, FILTER_SAMPLES)
-    amps = amplitudes_at(grid)
-    avg_oe = float(np.trapezoid(np.abs(amps.C_oe_rel), grid)) / window
-    avg_eo = float(np.trapezoid(np.abs(amps.C_eo_rel), grid)) / window
+def filtered_gamma(lambda_s_nm, amplitudes: ProcessAmplitudes, window_nm: float) -> float:
+    """Min/max ratio of the two processes' amplitude magnitudes, each
+    averaged (trapezoid rule) over the signal wavelengths ``lambda_s_nm``
+    that span ``window_nm``; ``amplitudes`` holds arrays over them."""
+    avg_oe = float(np.trapezoid(np.abs(amplitudes.C_oe_rel), lambda_s_nm)) / window_nm
+    avg_eo = float(np.trapezoid(np.abs(amplitudes.C_eo_rel), lambda_s_nm)) / window_nm
     if avg_oe == 0.0 and avg_eo == 0.0:
         raise UndefinedGamma("both filtered amplitudes vanish")
     return min(avg_oe, avg_eo) / max(avg_oe, avg_eo)

@@ -258,7 +258,7 @@ def test_filtered_gamma_matches_per_sample_reference(table_results, depth, width
 def test_spectrum_request_solve_count(spec, material, monkeypatch):
     """A design point solves its five modes in one call (the group indices
     re-solve none); spectra and filtered gamma each solve their four modes
-    at every sample in one call."""
+    at every sample in one call, and a zero-width filter solves none."""
     sizes = []
     solve_mode = pipeline.solve_mode
 
@@ -268,6 +268,8 @@ def test_spectrum_request_solve_count(spec, material, monkeypatch):
 
     monkeypatch.setattr(pipeline, "solve_mode", counted)
     result = design_point(spec, WaveguideGeometry(10.0, 10.0), material)
+    # zero width: the unfiltered gamma, bit for bit, without a solve
+    assert result.filtered_gamma(0.0).hex() == result.gamma.hex()
     result.spectra(10.0, 2001)
     result.filtered_gamma(0.1)
     assert sizes == [5, 4 * 2001, 4 * spdc.FILTER_SAMPLES]

@@ -114,3 +114,10 @@ def test_profile_even_in_y():
 def test_unknown_polarization_rejected():
     with pytest.raises(ConfigError, match="unknown polarization 'x'"):
         normalize_polarization("x")
+
+
+@pytest.mark.parametrize("width", ["a", None, True])
+def test_non_numeric_geometry_rejected(width):
+    with pytest.raises(ConfigError, match=f"^waveguide width and depth must lie in .* "
+                                          f"got w = {width} um"):
+        WaveguideGeometry(width, 10.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmdesign import (
+    InteractionSpec,
+    QpmDesignError,
     WaveguideGeometry,
     bandwidth_approx,
+    design_point,
+    fourier_component,
     gamma,
     periods_from_frequencies,
     synthesize_pattern,
@@ -106,3 +111,54 @@ def test_design_bandwidth_ratio_length_invariant(reference_result):
         if base is None:
             base = ratio
         assert ratio == pytest.approx(base, rel=1e-6)
+
+
+# An argument of a public entry point: typical in three draws of four, else
+# NaN, +-inf, 0, a negative number, a bool or a string.
+EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0, -1.0, -1e300,
+                         True, False, "a", ""])
+
+
+def arg(typical):
+    return st.sampled_from([typical] * 3 + [EDGES]).flatmap(lambda strategy: strategy)
+
+
+K = arg(st.floats(1.3, 1.8))  # rad/um, around the design's K1 and K2
+CALLS = st.one_of(
+    st.tuples(st.just("design_point"), arg(st.floats(500.0, 540.0)),
+              arg(st.floats(740.0, 820.0)), arg(st.floats(20.0, 200.0)),
+              arg(st.floats(1.0, 60.0)), arg(st.floats(4.0, 14.0)), arg(st.floats(4.0, 14.0))),
+    st.tuples(st.just("spectra"), arg(st.floats(4.0, 12.0)), arg(st.integers(3, 60))),
+    st.tuples(st.just("filtered_gamma"), arg(st.floats(0.0, 0.4))),
+    st.tuples(st.just("amplitudes_at"), arg(st.floats(760.0, 800.0))),
+    st.tuples(st.just("periods_from_frequencies"), K, K),
+    st.tuples(st.just("synthesize_pattern"), arg(st.floats(1.0, 50.0))),
+    st.tuples(st.just("fourier_component"), K),
+)
+ENTRY_POINTS = {
+    "design_point": lambda result, lp, ls, temperature, length, depth, width: design_point(
+        InteractionSpec(lp, ls, temperature_c=temperature, length_mm=length),
+        WaveguideGeometry(width, depth), result.context.material),
+    "spectra": lambda result, half_range, n_samples: result.spectra(half_range, n_samples),
+    "filtered_gamma": lambda result, width: result.filtered_gamma(width),
+    "amplitudes_at": lambda result, lam: result.amplitudes_at(lam),
+    "periods_from_frequencies": lambda result, k1, k2: periods_from_frequencies(k1, k2),
+    "synthesize_pattern": lambda result, length: synthesize_pattern(result.design, length),
+    "fourier_component": lambda result, k: fourier_component(
+        synthesize_pattern(result.design, 10.0), k),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=CALLS)
+def test_api_ends_in_result_or_design_error(reference_result, call):
+    """The public Python entry points, like the CLI, end in a result or a
+    QpmDesignError, never in another exception or a warning."""
+    name, *args = call
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ENTRY_POINTS[name](reference_result, *args)
+        except QpmDesignError:
+            pass
+    assert not caught, [str(w.message) for w in caught]

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ class TestInteractionSpec:
             InteractionSpec(780.0, 519.0)
         with pytest.raises(ConfigError):
             InteractionSpec(519.0, 780.0, length_mm=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("length_mm", math.nan), ("length_mm", math.inf), ("temperature_c", math.nan)])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite number, got {value}$"):
+            InteractionSpec(519.0, 780.0, **{field: value})
+
+    def test_signal_grid(self):
+        spec = InteractionSpec(519.0, 780.0)
+        np.testing.assert_array_equal(spec.signal_grid(10.0, 5),
+                                      np.linspace(770.0, 790.0, 5), strict=True)
+        with pytest.raises(ConfigError, match=re.escape("lower edge at 480.0 nm")):
+            spec.signal_grid(300.0, 11)
 
     def test_idler_for_tracks_signal(self):
         spec = InteractionSpec(519.0, 780.0)
@@ -120,6 +134,11 @@ class TestPeriods:
     def test_degenerate(self):
         with pytest.raises(DegenerateModulation):
             periods_from_frequencies(1.5, 1.5)
+
+    @pytest.mark.parametrize("k1", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected(self, k1):
+        with pytest.raises(ConfigError, match=f"^K1 must be a finite number, got {k1}$"):
+            periods_from_frequencies(k1, 1.0)
 
 
 def commensurate_design(lambda0=2.0, lambdap=6.0):
@@ -231,6 +250,13 @@ class TestFourier:
         c1 = fourier_component(self.pattern, self.design.K1)
         c2 = fourier_component(self.pattern, self.design.K2)
         assert c1.real * c2.real < 0
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_frequency_rejected(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^K must be a finite number, got {k}$"):
+                fourier_component(self.pattern, k)
 
     def test_zero_frequency_vanishes(self):
         assert abs(fourier_component(self.pattern, 0.0)) < 1e-3

@@ -193,7 +193,9 @@ class TestSpectrum:
         assert curve[0] == pytest.approx(curve[2], rel=0.05)
 
     @pytest.mark.parametrize("half_range_nm, n_samples", [
-        (10.0, 0), (10.0, 2), (-5.0, 11), (0.0, 11), (math.nan, 11), (math.inf, 11)])
+        (10.0, 0), (10.0, 2), (-5.0, 11), (0.0, 11), (math.nan, 11), (math.inf, 11),
+        # not a sample count or not a number
+        (10.0, 3.5), (10.0, math.nan), (10.0, True), ("a", 11)])
     def test_unsampleable_window_rejected(self, reference_result, half_range_nm, n_samples):
         with pytest.raises(ConfigError, match="at least 3 samples and a positive, finite"):
             reference_result.spectra(half_range_nm, n_samples)
@@ -221,10 +223,16 @@ class TestFilteredGamma:
         with pytest.raises(FilterTooWide):
             reference_result.filtered_gamma(reference_result.bandwidth_oe_nm)
 
-    @pytest.mark.parametrize("width", [-0.5, -1e9, -math.inf, math.nan, math.inf])
+    @pytest.mark.parametrize("width", [-0.5, -1e9, -math.inf, math.nan, math.inf,
+                                       "a", None, True])
     def test_bad_filter_width_rejected(self, reference_result, width):
         with pytest.raises(ConfigError, match=f"^filter width {re.escape(str(width))} nm"):
             reference_result.filtered_gamma(width)
+
+
+def test_non_numeric_signal_rejected(reference_result):
+    with pytest.raises(ConfigError, match="^signal wavelength 'a' is not a number$"):
+        reference_result.amplitudes_at("a")
 
 
 class TestEfficiencyRatio:
