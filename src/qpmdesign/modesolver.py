@@ -13,12 +13,14 @@ meaningful solution is the *interior* stationary point, which is what
 index the mode is only quasi-guided and is flagged as such.
 
 ``solve_mode`` is one batched kernel: it takes a wavelength (with its
-material indices) or arrays of them, starts every point at alpha_y =
-alpha_z = 1, and runs a safeguarded Newton iteration (``_newton``) on the
-analytic stationarity equations of all points together, ``NEWTON_CHUNK``
-points at a time. The iteration alone decides existence: a point has a mode
-exactly when it settles on a concave interior point. Past cutoff the capped
-steps halve both alphas toward the alpha -> 0 boundary and never settle.
+material indices) or arrays of them, starts each point at the start alphas
+it is given, by default alpha_y = alpha_z = 1, and runs a safeguarded
+Newton iteration (``_newton``) on the analytic stationarity equations of
+all points together, ``NEWTON_CHUNK`` points at a time. Off-design re-solves
+start from the solved design-point mode. The iteration alone decides
+existence: a point has a mode exactly when it settles on a concave interior
+point from its start. Past cutoff the capped steps halve both alphas toward
+the alpha -> 0 boundary and never settle.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ from .errors import NoGuidedMode
 # nm; both polarizations; 369,437 accepted), as steps: points:
 #   3-4: 927, 5: 28,252, 6: 97,220, 7: 96,870, 8: 127,081, 9: 19,023,
 #   10: 50, 11: 11, 12: 1, 13: 2.
+# Started warm, from the mode at 780 nm for 740-820 nm and at 1551 nm for
+# 1450-1700 nm, as off-design re-solves are (numpy seed 7; 400 geometries,
+# d, w in [2, 20] um; both polarizations; 350,785 accepted, the same points
+# as from (1, 1)):
+#   2: 6, 3: 6,361, 4: 230,435, 5: 109,459, 6: 3,459, 7: 901, 8: 122,
+#   9: 34, 10: 6, 11: 1, 12: 1;
+# from (1, 1) the same points take 4: 1,649, 5: 36,629, 6: 139,487,
+#   7: 116,147, 8: 56,681, 9: 154, 10: 25, 11: 10, 12: 2, 14: 1.
 NEWTON_STEPS = 16
 NEWTON_TOL = 1e-13
 ALPHA_CUT = 1e-8
@@ -74,8 +84,20 @@ class TrialField:
     depth_h: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.alpha_y) <= 0) or np.any(np.asarray(self.alpha_z) <= 0):
+        if (np.asarray(self.alpha_y) <= 0).any() or (np.asarray(self.alpha_z) <= 0).any():
             raise ValueError("variational parameters must be positive")
+
+    def rows(self) -> list["TrialField"]:
+        """The fields of the rows (first axis) of a field of stacked alphas.
+        A row's alphas are part of this field's, checked when it was built,
+        so the rows are not checked again."""
+        rows = []
+        for alpha_y, alpha_z in zip(self.alpha_y, self.alpha_z):
+            row = object.__new__(TrialField)
+            vars(row).update(alpha_y=alpha_y, alpha_z=alpha_z,
+                             width_w=self.width_w, depth_h=self.depth_h)
+            rows.append(row)
+        return rows
 
 
 @dataclass
@@ -138,7 +160,8 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
     Broadcasts over arrays, 0-d ones included. Returns (alpha_y, alpha_z,
     accepted) of the broadcast shape: a point is accepted when the iteration
     settled on a concave interior point (det H > 0, H_yy < 0, both alphas
-    above ALPHA_CUT), i.e. a local maximum.
+    above ALPHA_CUT), i.e. a local maximum. A point whose start already
+    passes the settle test is returned unmoved.
     """
     lam, n_b, dn, ay, az = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in
@@ -155,7 +178,7 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
 
     with np.errstate(all="ignore"):
         settled = np.zeros(ay.shape, dtype=bool)
-        for _ in range(NEWTON_STEPS):
+        for k in range(NEWTON_STEPS):
             sy = 2.0 * ay**2 + 1.0
             sz = 2.0 * az**2 + 1.0
             cf = c * (ay / np.sqrt(sy))  # c f
@@ -172,14 +195,16 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
             # det H > 0 means concave. A settled point stays where it would
             # stop if refined alone, independent of the others refined with it
             scale = -0.5 / np.minimum(-0.5, np.minimum(step_y / ay, step_z / az))
+            if k == 0:
+                # a start that already passes the settle test stays where it
+                # is: a start at a solved mode returns that mode bit for bit
+                settled = _settled(step_y * scale, step_z * scale, ay, az)
             scale[settled] = 0.0
             step_y *= scale
             step_z *= scale
             ay += step_y
             az += step_z
-            # NaN compares false: a point gone non-finite cannot recover and settles
-            settled = ~((np.abs(step_y) > NEWTON_TOL * (1.0 + ay))
-                        | (np.abs(step_z) > NEWTON_TOL * (1.0 + az)))
+            settled = _settled(step_y, step_z, ay, az)
             if settled.all():
                 break
         # the last Hessian: a point settled earlier sits where it was taken,
@@ -187,6 +212,13 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
         accepted = (settled & (ay > ALPHA_CUT) & (az > ALPHA_CUT)
                     & (det > 0.0) & (h_yy < 0.0))
     return ay.reshape(shape), az.reshape(shape), accepted.reshape(shape)
+
+
+def _settled(step_y, step_z, alpha_y, alpha_z):
+    """Where a step is below NEWTON_TOL relative to the alphas. NaN compares
+    false: a point gone non-finite cannot recover and settles."""
+    return ~((np.abs(step_y) > NEWTON_TOL * (1.0 + alpha_y))
+             | (np.abs(step_z) > NEWTON_TOL * (1.0 + alpha_z)))
 
 
 def _ascent_direction(grad_y, grad_z, h_yy, h_zz, h_yz):
@@ -207,37 +239,42 @@ def _ascent_direction(grad_y, grad_z, h_yy, h_zz, h_yz):
 
 
 def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
-               polarization: str = "ordinary") -> ModalSolution:
+               polarization: str = "ordinary", alpha_y0=1.0, alpha_z0=1.0) -> ModalSolution:
     """Maximize the effective-index functional over (alpha_y, alpha_z).
 
-    ``n_b``, ``delta_n`` and ``wavelength_nm`` broadcast: scalars give a
-    ModalSolution of numpy scalars, arrays one whose numeric fields (and
-    field alphas) are arrays of the broadcast shape. Every point starts at
-    alpha_y = alpha_z = 1 and ``_newton`` refines the points together,
-    ``NEWTON_CHUNK`` at a time; each chunk's n_eff is finished and checked
-    before the next is refined.
+    ``n_b``, ``delta_n``, ``wavelength_nm`` and the positive start alphas
+    ``alpha_y0`` and ``alpha_z0`` broadcast: scalars give a ModalSolution
+    of numpy scalars, arrays one whose numeric fields (and field alphas)
+    are arrays of the broadcast shape. Each point starts at its start
+    alphas, by default alpha_y = alpha_z = 1, and ``_newton`` refines the
+    points together, ``NEWTON_CHUNK`` at a time; each chunk's n_eff is
+    finished and checked before the next is refined. A solved mode's alphas
+    are a warm start for wavelengths near its own. A start alpha that is
+    not positive (NaN included) raises ValueError before any solve.
 
     Raises NoGuidedMode where no interior maximum exists: delta_n <= 0,
     ``_newton`` does not accept the point (it does not settle on a concave
-    interior point, as past cutoff, where the ascent slides toward the
-    alpha -> 0 boundary), or n_eff^2 is not positive there. The message
-    names the first failing point in array order and the first of these
-    reasons that holds there. An interior maximum that fails to exceed the
+    interior point from its start, as past cutoff, where the ascent slides
+    toward the alpha -> 0 boundary), or n_eff^2 is not positive there. The
+    message names the first failing point in array order and the first of
+    these reasons that holds there. An interior maximum that fails to exceed the
     substrate index is returned flagged ``guided=False``: such a mode is
     only quasi-guided, but near-cutoff geometries still support the
     nonlinear interaction through it.
     """
-    lam, n_b, dn = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in
-                                         (wavelength_nm, n_b, delta_n)))
+    lam, n_b, dn, ay0, az0 = np.broadcast_arrays(*(
+        np.asarray(x, dtype=float) for x in (wavelength_nm, n_b, delta_n, alpha_y0, alpha_z0)))
     shape = lam.shape
-    lam, n_b, dn = lam.ravel(), n_b.ravel(), dn.ravel()
+    lam, n_b, dn, ay0, az0 = (x.ravel() for x in (lam, n_b, dn, ay0, az0))
+    if not ((ay0 > 0.0).all() and (az0 > 0.0).all()):
+        raise ValueError("start alphas must be positive")
     w, h = geom.width_w, geom.depth_h
 
     ay, az, n_eff = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
     for start in range(0, lam.size, NEWTON_CHUNK):
         part = slice(start, start + NEWTON_CHUNK)
         lam_c, n_b_c, dn_c = lam[part], n_b[part], dn[part]
-        ay[part], az[part], accepted = _newton(w, h, n_b_c, dn_c, lam_c, 1.0, 1.0)
+        ay[part], az[part], accepted = _newton(w, h, n_b_c, dn_c, lam_c, ay0[part], az0[part])
         with np.errstate(all="ignore"):  # rejected points may hold non-finite alphas
             neff2 = neff_closed_form(ay[part], az[part], w, h, n_b_c, dn_c, lam_c)
         failed = (dn_c <= 0.0) | ~accepted | ~(neff2 > 0.0)

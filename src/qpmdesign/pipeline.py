@@ -6,7 +6,7 @@ and solves modes for several (polarization, wavelengths) requests in one
 design, solving its five modes in one call, and returns a ``DesignResult``
 that evaluates off-design amplitudes, spectra and filtered entanglement
 degrees, each with one call for all four signal and idler modes at every
-sample. Nothing is cached.
+sample, started from the design-point modes. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .dispersion import (
     normalize_polarization,
 )
 from .errors import ConfigError, FilterTooWide, is_number
-from .modesolver import ModalSolution, TrialField, group_index, solve_mode
+from .modesolver import ModalSolution, group_index, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import ProcessAmplitudes
 
@@ -74,30 +74,39 @@ class ModeContext:
         ModalSolution of arrays)."""
         return self.solve_many([(polarization, wavelength_nm)])[0]
 
-    def solve_many(self, requests) -> list[ModalSolution]:
+    def solve_many(self, requests, starts=None) -> list[ModalSolution]:
         """One ModalSolution per (polarization, wavelengths) request, in
         request order, all from one ``solve_mode`` call.
 
         The requests' wavelengths must share one shape (ValueError before
         any solve otherwise); they are the rows of the stacked solve. Each
-        solution has its request's polarization and that shape. NoGuidedMode
-        names the first failing point of the requests taken in order.
+        solution has its request's polarization and that shape. ``starts``,
+        one TrialField per request, starts each row's points at that
+        field's alphas, which broadcast over the row; without it every
+        point starts at (1, 1). NoGuidedMode names the first failing point
+        of the requests taken in order.
         """
         pols = [normalize_polarization(pol) for pol, _ in requests]
         lam = np.stack([np.asarray(wavelength_nm, dtype=float)
                         for _, wavelength_nm in requests])
-        indices = [self.indices(pol, row) for pol, row in zip(pols, lam)]
-        joined = solve_mode(self.geometry, np.stack([n_b for n_b, _ in indices]),
-                            np.stack([dn for _, dn in indices]), lam)
-        f = joined.field
+        n_b, dn = np.empty_like(lam), np.empty_like(lam)
+        for pol in dict.fromkeys(pols):  # one index lookup per polarization
+            rows = [i for i, row_pol in enumerate(pols) if row_pol == pol]
+            n_b[rows], dn[rows] = self.indices(pol, lam[rows])
+        alpha_y0 = alpha_z0 = 1.0
+        if starts is not None:
+            alpha_y0, alpha_z0 = np.empty_like(lam), np.empty_like(lam)
+            for row, field in enumerate(starts):
+                alpha_y0[row], alpha_z0[row] = field.alpha_y, field.alpha_z
+        joined = solve_mode(self.geometry, n_b, dn, lam, alpha_y0=alpha_y0, alpha_z0=alpha_z0)
         return [ModalSolution(wavelength_nm=joined.wavelength_nm[i],
                               polarization=pol,
                               n_eff=joined.n_eff[i],
                               n_bulk=joined.n_bulk[i],
                               delta_n=joined.delta_n[i],
-                              field=TrialField(f.alpha_y[i], f.alpha_z[i], f.width_w, f.depth_h),
+                              field=field,
                               guided=joined.guided[i])
-                for i, pol in enumerate(pols)]
+                for i, (pol, field) in enumerate(zip(pols, joined.field.rows()))]
 
 
 @dataclass
@@ -123,13 +132,13 @@ class DesignResult:
 
         An array of wavelengths gives amplitudes holding arrays. The four
         signal and idler modes at every wavelength are solved in one
-        ``solve_mode`` call.
+        ``solve_mode`` call, each started from its design-point mode.
         """
         lam_i = self.spec.idler_for(lambda_s_nm)  # by energy conservation
         so, se, io, ie = self.context.solve_many([
             ("ordinary", lambda_s_nm), ("extraordinary", lambda_s_nm),
             ("ordinary", lam_i), ("extraordinary", lam_i),
-        ])
+        ], starts=[self.modes[name].field for name in ("so", "se", "io", "ie")])
         return spdc.relative_amplitudes(self.modes["po"], so, se, io, ie,
                                         self.design, self.spec.length_mm)
 
@@ -151,7 +160,8 @@ class DesignResult:
         """Gamma after a rectangular bandpass filter on the idler arm, which
         coincidence detection maps onto a signal window of width
         ``filter_fwhm_nm * (lambda_s / lambda_i)**2``, sampled by
-        ``spec.signal_grid``. Zero width returns ``gamma`` without a solve; a
+        ``spec.signal_grid``. A window that rounds to no spread around
+        lambda_s, zero width included, returns ``gamma`` without a solve; a
         width that is not a finite number >= 0 raises ConfigError, one not
         below the narrower bandwidth FilterTooWide (bandwidth
         distinguishability would be conflated)."""
@@ -161,9 +171,10 @@ class DesignResult:
         if filter_fwhm_nm >= narrow:
             raise FilterTooWide(f"filter width {filter_fwhm_nm} nm not below the narrower "
                                 f"process bandwidth {narrow} nm")
-        if filter_fwhm_nm == 0.0:
+        lam_s = self.spec.lambda_s_nm
+        window = filter_fwhm_nm * (lam_s / self.spec.lambda_i_nm) ** 2
+        if lam_s - 0.5 * window == lam_s + 0.5 * window:
             return self.gamma
-        window = filter_fwhm_nm * (self.spec.lambda_s_nm / self.spec.lambda_i_nm) ** 2
         grid = self.spec.signal_grid(0.5 * window, spdc.FILTER_SAMPLES)
         return spdc.filtered_gamma(grid, self.amplitudes_at(grid), window)
 

@@ -275,6 +275,65 @@ def test_spectrum_request_solve_count(spec, material, monkeypatch):
     assert sizes == [5, 4 * 2001, 4 * spdc.FILTER_SAMPLES]
 
 
+def test_spectrum_requests_start_from_the_design_modes(spec, material, monkeypatch):
+    """Spectra and filtered gamma start every mode from its design-point
+    mode, not from (1, 1): at d = w = 10 um, spectra(10, 2001), two Newton
+    chunks, takes 4 + 4 Newton steps and filtered_gamma(0.1) takes 3,
+    against 6 + 4 and 6 from (1, 1)."""
+    result = design_point(spec, WaveguideGeometry(10.0, 10.0), material)
+    steps = [0]
+    ascent_direction = modesolver._ascent_direction
+
+    def counted(*args):
+        steps[0] += 1
+        return ascent_direction(*args)
+
+    monkeypatch.setattr(modesolver, "_ascent_direction", counted)
+    result.spectra(10.0, 2001)
+    assert steps[0] == 8
+    result.filtered_gamma(0.1)
+    assert steps[0] == 8 + 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.floats(3.0, 14.0), width=st.floats(3.0, 14.0),
+       lams=st.lists(st.one_of(st.floats(740.0, 820.0), st.floats(1450.0, 1700.0)),
+                     min_size=1, max_size=8),
+       pol=st.sampled_from(["ordinary", "extraordinary"]))
+# between the cold fold of the 6.5 x 6 um row's extraordinary idler, about
+# 1591.95238 nm, and the warm one, about 1591.95249 nm
+@example(depth=6.5, width=6.0, lams=[1591.95243, 1591.9, 1592.0, 780.0], pol="extraordinary")
+def test_warm_start_matches_cold_start(material, depth, width, lams, pol):
+    """A solve started from the mode at 780 nm (signal band) or 1551 nm
+    (idler band) accepts where the solve from (1, 1) does, except within
+    1e-3 nm of a fold of the cold solve (the resolution of ``_fold``), and
+    gives its n_eff within 1e-13 and its alphas within 1e-9."""
+    ctx = ModeContext(material, WaveguideGeometry(width, depth))
+    for lam in lams:
+        design_lam = 780.0 if lam < 1000.0 else 1551.0
+        if not _accepts(ctx, pol, design_lam):
+            continue
+        start = ctx.solve(pol, design_lam).field
+        n_b, dn = ctx.indices(pol, lam)
+        try:
+            warm = solve_mode(ctx.geometry, n_b, dn, lam,
+                              alpha_y0=start.alpha_y, alpha_z0=start.alpha_z)
+        except NoGuidedMode:
+            warm = None
+        try:
+            cold = solve_mode(ctx.geometry, n_b, dn, lam)
+        except NoGuidedMode:
+            cold = None
+        if (warm is None) != (cold is None):
+            assert _accepts(ctx, pol, lam - 1e-3) != _accepts(ctx, pol, lam + 1e-3), lam
+            continue
+        if warm is not None:
+            assert abs(warm.n_eff - cold.n_eff) <= 1e-13
+            assert abs(warm.field.alpha_y - cold.field.alpha_y) <= 1e-9
+            assert abs(warm.field.alpha_z - cold.field.alpha_z) <= 1e-9
+            assert warm.guided == cold.guided
+
+
 def test_spectra_peak_memory(reference_result):
     """A spectrum traces about 0.3 KB per sample at its peak: no per-sample
     table, and each Newton chunk's n_eff is finished within the chunk."""

@@ -6,18 +6,30 @@ numpy releases, whose libm and SIMD paths may round a few ulp apart. The
 design point's zero mismatches `delta_k_*` compare within GOLDEN_ATOL_DK
 absolute, and each `*_rel_dev`, a ratio minus 1, within GOLDEN_RTOL of that
 ratio. Strings and integers must match exactly.
+
+`spectrum_10x10.json` holds `DesignResult.spectra(8, 401)` and
+`filtered_gamma(0.1)` at d = w = 10 um as the cold-started solver gave them,
+at full precision. The spectrum path re-solves its modes from the design
+point's, and these tolerances are what a change of start may move:
+SPECTRUM_ATOL on intensities, SPECTRUM_FWHM_RTOL on the FWHMs and
+GOLDEN_RTOL on the grid and the filtered gamma.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qpmdesign import WaveguideGeometry
 from qpmdesign.cli import EXIT_OK, main
+from qpmdesign.pipeline import design_point
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RTOL = 1e-12
 GOLDEN_ATOL_DK = 1e-15  # rad/um
+SPECTRUM_ATOL = 1e-9
+SPECTRUM_FWHM_RTOL = 1e-9
 
 
 def assert_matches(got, want, key=""):
@@ -57,3 +69,16 @@ def test_grating_matches_golden(capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert_matches(json.loads(out), json.loads((GOLDEN / "grating.json").read_text()))
+
+
+def test_spectrum_matches_golden(spec, material):
+    want = json.loads((GOLDEN / "spectrum_10x10.json").read_text())
+    result = design_point(spec, WaveguideGeometry(want["width_um"], want["depth_um"]), material)
+    grid, i_oe, i_eo, f_oe, f_eo = result.spectra(want["half_range_nm"], want["samples"])
+    np.testing.assert_allclose(grid, want["lambda_s_nm"], rtol=GOLDEN_RTOL, atol=0.0)
+    np.testing.assert_allclose(i_oe, want["intensity_oe"], rtol=0.0, atol=SPECTRUM_ATOL)
+    np.testing.assert_allclose(i_eo, want["intensity_eo"], rtol=0.0, atol=SPECTRUM_ATOL)
+    assert f_oe == pytest.approx(want["fwhm_oe_nm"], rel=SPECTRUM_FWHM_RTOL, abs=0.0)
+    assert f_eo == pytest.approx(want["fwhm_eo_nm"], rel=SPECTRUM_FWHM_RTOL, abs=0.0)
+    assert result.filtered_gamma(want["filter_fwhm_nm"]) == pytest.approx(
+        want["filtered_gamma"], rel=GOLDEN_RTOL, abs=0.0)

@@ -81,6 +81,14 @@ def test_trial_field_needs_positive_alphas():
         TrialField(0.0, 1.0, 10, 10)
 
 
+@pytest.mark.parametrize("start", [0.0, -1.0, math.nan])
+def test_solve_mode_needs_positive_start_alphas(start):
+    with pytest.raises(ValueError, match="^start alphas must be positive$"):
+        solve_mode(GEOM, NB, DN, LAM, alpha_y0=start)
+    with pytest.raises(ValueError, match="^start alphas must be positive$"):
+        solve_mode(GEOM, NB, DN, [LAM, LAM], alpha_z0=[1.0, start])
+
+
 def test_solve_mode_bracket():
     sol = solve_mode(GEOM, NB, DN, LAM)
     assert NB < sol.n_eff < NB + 0.005

@@ -215,6 +215,14 @@ class TestFilteredGamma:
         g0 = reference_result.gamma
         assert reference_result.filtered_gamma(0.0) == pytest.approx(g0, rel=1e-12)
 
+    @pytest.mark.parametrize("width", [1e-12, 1e-13, 1e-300, 5e-324])
+    def test_very_narrow_filter_is_unfiltered(self, reference_result, width):
+        """Below about 1e-13 nm the signal window rounds to lambda_s itself
+        (5e-324 nm to a zero width): gamma, as at 1e-12 nm, where the
+        window still spans a few ulps."""
+        g = reference_result.filtered_gamma(width)
+        assert g == pytest.approx(reference_result.gamma, rel=0.0, abs=1e-15)
+
     def test_narrow_filter_close_to_unfiltered(self, reference_result):
         g = reference_result.filtered_gamma(0.1)
         assert g == pytest.approx(reference_result.gamma, abs=1e-3)
