@@ -85,9 +85,11 @@ class DesignConfig:
         return [WaveguideGeometry(width_w=float(w), depth_h=float(d))
                 for d, w in pairs]
 
-    def _check_types(self):
-        """The geometry and material fields; ``InteractionSpec`` checks the
-        other numbers."""
+    def validate(self):
+        """Check the geometry and material fields' types, the interaction
+        (``InteractionSpec`` checks its numbers) and every geometry. The
+        material (Sellmeier file, increment table) is checked by building it
+        with ``material()``."""
         for name in ("width_um", "depth_um"):
             value = getattr(self, name)
             for item in value if isinstance(value, list) else [value]:
@@ -103,26 +105,11 @@ class DesignConfig:
         for row in rows:
             for item in row:
                 check_number("index_increments", item)
-
-    def validate(self):
-        """Check types, the interaction and every geometry. The material
-        (Sellmeier file, increment table) is checked by building it with
-        ``material()``."""
-        self._check_types()
         self.interaction()
         self.sweep_geometries()  # WaveguideGeometry validates each geometry
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-
-def config_from_dict(doc: dict[str, Any]) -> DesignConfig:
-    unknown = set(doc) - {f.name for f in fields(DesignConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = DesignConfig(**doc)
-    cfg.validate()
-    return cfg
 
 
 def load_config(path: str | None = None, **overrides) -> DesignConfig:
@@ -139,4 +126,10 @@ def load_config(path: str | None = None, **overrides) -> DesignConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
-    return config_from_dict({**doc, **overrides})
+    doc = {**doc, **overrides}
+    unknown = set(doc) - {f.name for f in fields(DesignConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg = DesignConfig(**doc)
+    cfg.validate()
+    return cfg

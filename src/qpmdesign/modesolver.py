@@ -13,14 +13,18 @@ meaningful solution is the *interior* stationary point, which is what
 index the mode is only quasi-guided and is flagged as such.
 
 ``solve_mode`` is one batched kernel: it takes a wavelength (with its
-material indices) or arrays of them, starts each point at the start alphas
-it is given, by default alpha_y = alpha_z = 1, and runs a safeguarded
-Newton iteration (``_newton``) on the analytic stationarity equations of
-all points together, ``NEWTON_CHUNK`` points at a time. Off-design re-solves
-start from the solved design-point mode. The iteration alone decides
-existence: a point has a mode exactly when it settles on a concave interior
-point from its start. Past cutoff the capped steps halve both alphas toward
-the alpha -> 0 boundary and never settle.
+material indices) or arrays of them, broadcasts and flattens them, starts
+each point at the start alphas it is given, by default alpha_y = alpha_z =
+1, and runs a safeguarded Newton iteration (``_newton``) on the analytic
+stationarity equations of each flat chunk of ``NEWTON_CHUNK`` points.
+Off-design re-solves start from the solved design-point mode. The iteration
+alone decides existence: a point has a mode exactly when it settles on a
+concave interior point from its start. Past cutoff the capped steps halve
+both alphas toward the alpha -> 0 boundary and never settle.
+
+Alphas from callers (a ``TrialField`` they build, the start alphas) pass one
+check, ``_positive``; the fields of solved modes, whose alphas ``_newton``
+accepted, are built by ``TrialField.from_solver`` without it.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ class TrialField:
     over the half-space is exactly 1 for any valid parameters.
 
     The parameters may be arrays of one shape, one field per element, as in
-    a ``solve_mode`` over arrays.
+    a ``solve_mode`` over arrays. Every alpha must be > 0 (NaN is not),
+    else ValueError, unless the field comes from ``from_solver``.
     """
 
     alpha_y: float
@@ -84,20 +89,24 @@ class TrialField:
     depth_h: float
 
     def __post_init__(self):
-        if (np.asarray(self.alpha_y) <= 0).any() or (np.asarray(self.alpha_z) <= 0).any():
+        if not _positive(self.alpha_y, self.alpha_z):
             raise ValueError("variational parameters must be positive")
 
-    def rows(self) -> list["TrialField"]:
-        """The fields of the rows (first axis) of a field of stacked alphas.
-        A row's alphas are part of this field's, checked when it was built,
-        so the rows are not checked again."""
-        rows = []
-        for alpha_y, alpha_z in zip(self.alpha_y, self.alpha_z):
-            row = object.__new__(TrialField)
-            vars(row).update(alpha_y=alpha_y, alpha_z=alpha_z,
-                             width_w=self.width_w, depth_h=self.depth_h)
-            rows.append(row)
-        return rows
+    @classmethod
+    def from_solver(cls, alpha_y, alpha_z, width_w, depth_h) -> "TrialField":
+        """The field of alphas ``_newton`` accepted, built unchecked. An
+        accepted point has both alphas above ALPHA_CUT, so the caller check
+        holds by construction and does not run again."""
+        field = object.__new__(cls)
+        vars(field).update(alpha_y=alpha_y, alpha_z=alpha_z,
+                           width_w=width_w, depth_h=depth_h)
+        return field
+
+
+def _positive(alpha_y, alpha_z) -> bool:
+    """Whether every alpha is > 0, the check of caller input (a NaN alpha
+    compares false and fails it)."""
+    return bool((np.asarray(alpha_y) > 0.0).all() and (np.asarray(alpha_z) > 0.0).all())
 
 
 @dataclass
@@ -157,27 +166,23 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
     every step is shortened so that no alpha more than halves: the iteration
     never crosses to the mirror maximum at negative alphas.
 
-    Broadcasts over arrays, 0-d ones included. Returns (alpha_y, alpha_z,
-    accepted) of the broadcast shape: a point is accepted when the iteration
-    settled on a concave interior point (det H > 0, H_yy < 0, both alphas
-    above ALPHA_CUT), i.e. a local maximum. A point whose start already
-    passes the settle test is returned unmoved.
+    Takes one flat chunk: ``alpha_y`` and ``alpha_z`` are 1-d arrays of
+    one length, and ``n_b``, ``delta_n`` and ``wavelength_nm`` arrays of
+    that length or scalars; ``solve_mode`` broadcasts and flattens its
+    arguments into such chunks. Returns (alpha_y, alpha_z, accepted) of
+    that length: a point is accepted when the iteration settled on a
+    concave interior point (det H > 0, H_yy < 0, both alphas above
+    ALPHA_CUT), i.e. a local maximum. A point whose start already passes
+    the settle test is returned unmoved.
     """
-    lam, n_b, dn, ay, az = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in
-          (wavelength_nm, n_b, delta_n, alpha_y, alpha_z)))
-    shape = lam.shape
-    # 1-d working arrays: a masked assignment needs an array, not a 0-d scalar
-    lam, n_b, dn, ay, az = (x.reshape(-1) for x in (lam, n_b, dn, ay, az))
-    k0 = 2.0 * math.pi / (lam * 1e-3)
+    k0 = 2.0 * math.pi / (wavelength_nm * 1e-3)
     cy = 1.0 / (k0 * width_w) ** 2
     cz = 3.0 / (k0 * depth_h) ** 2
-    c = 8.0 * n_b * dn
+    c = 8.0 * n_b * delta_n
     ky, kz = -2.0 * cy, -2.0 * cz
-    ay, az = ay.copy(), az.copy()
+    ay, az = alpha_y.copy(), alpha_z.copy()
 
     with np.errstate(all="ignore"):
-        settled = np.zeros(ay.shape, dtype=bool)
         for k in range(NEWTON_STEPS):
             sy = 2.0 * ay**2 + 1.0
             sz = 2.0 * az**2 + 1.0
@@ -211,7 +216,7 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
         # one that settled on the last step moved by at most NEWTON_TOL
         accepted = (settled & (ay > ALPHA_CUT) & (az > ALPHA_CUT)
                     & (det > 0.0) & (h_yy < 0.0))
-    return ay.reshape(shape), az.reshape(shape), accepted.reshape(shape)
+    return ay, az, accepted
 
 
 def _settled(step_y, step_z, alpha_y, alpha_z):
@@ -266,7 +271,7 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
         np.asarray(x, dtype=float) for x in (wavelength_nm, n_b, delta_n, alpha_y0, alpha_z0)))
     shape = lam.shape
     lam, n_b, dn, ay0, az0 = (x.ravel() for x in (lam, n_b, dn, ay0, az0))
-    if not ((ay0 > 0.0).all() and (az0 > 0.0).all()):
+    if not _positive(ay0, az0):
         raise ValueError("start alphas must be positive")
     w, h = geom.width_w, geom.depth_h
 
@@ -296,7 +301,7 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
         n_eff=out(n_eff),
         n_bulk=out(n_b),
         delta_n=out(dn),
-        field=TrialField(alpha_y=out(ay), alpha_z=out(az), width_w=w, depth_h=h),
+        field=TrialField.from_solver(out(ay), out(az), w, h),
         guided=out(n_eff > n_b + GUIDED_MARGIN),
     )
 

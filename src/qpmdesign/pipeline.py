@@ -24,7 +24,7 @@ from .dispersion import (
     normalize_polarization,
 )
 from .errors import ConfigError, FilterTooWide, is_number
-from .modesolver import ModalSolution, group_index, solve_mode
+from .modesolver import ModalSolution, TrialField, group_index, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import ProcessAmplitudes
 
@@ -99,14 +99,16 @@ class ModeContext:
             for row, field in enumerate(starts):
                 alpha_y0[row], alpha_z0[row] = field.alpha_y, field.alpha_z
         joined = solve_mode(self.geometry, n_b, dn, lam, alpha_y0=alpha_y0, alpha_z0=alpha_z0)
+        f = joined.field
         return [ModalSolution(wavelength_nm=joined.wavelength_nm[i],
                               polarization=pol,
                               n_eff=joined.n_eff[i],
                               n_bulk=joined.n_bulk[i],
                               delta_n=joined.delta_n[i],
-                              field=field,
+                              field=TrialField.from_solver(f.alpha_y[i], f.alpha_z[i],
+                                                           f.width_w, f.depth_h),
                               guided=joined.guided[i])
-                for i, (pol, field) in enumerate(zip(pols, joined.field.rows()))]
+                for i, pol in enumerate(pols)]
 
 
 @dataclass

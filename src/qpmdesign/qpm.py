@@ -65,8 +65,6 @@ class InteractionSpec:
             raise ConfigError("wavelengths must be positive")
         if self.length_mm <= 0:
             raise ConfigError("interaction length must be positive")
-        if self.lambda_s_nm <= self.lambda_p_nm:
-            raise ConfigError("signal wavelength must exceed pump wavelength")
         exact = self.idler_for(self.lambda_s_nm)
         if self.lambda_i_nm is not None:
             rel = abs(self.lambda_i_nm - exact) / exact

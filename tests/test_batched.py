@@ -4,8 +4,8 @@
 its Newton refinement and its existence verdict against a grid peak search
 refined by Nelder-Mead; ``design_point`` against five scalar solves;
 ``DesignResult.spectra`` and ``filtered_gamma`` against a loop of scalar
-solves per sample; and the number of solves and the memory a spectrum
-request takes.
+solves per sample; the number of solves and the memory a spectrum
+request takes; and the caller check on every field the solver returns.
 """
 
 import re
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpmdesign import (NoGuidedMode, WaveguideGeometry, modesolver, neff_closed_form, pipeline,
-                       solve_mode, spdc)
+from qpmdesign import (NoGuidedMode, TrialField, WaveguideGeometry, modesolver, neff_closed_form,
+                       pipeline, solve_mode, spdc)
 from qpmdesign.pipeline import ModeContext, design_point
 
 from conftest import DESIGN_TABLE
@@ -115,15 +115,54 @@ def test_newton_accepts_only_local_maxima(material, width, depth, pol, lam):
     (8.25, 3.0, 1600.0),  # rejected: the halving cap shortens every step
     (10.0, 10.0, 1551.0),
 ])
-def test_newton_accepts_0d_arguments(material, width, depth, lam):
-    """Scalars in give 0-d arrays out, equal to a one-point array call."""
-    n_b = material.sellmeier("ordinary").index(lam)
-    dn = material.increments.increment("ordinary", lam)
-    scalar = modesolver._newton(width, depth, n_b, dn, lam, 1.0, 1.0)
-    array = modesolver._newton(width, depth, np.array([n_b]), dn, lam, 1.0, 1.0)
-    for x, one in zip(scalar, array):
-        assert np.shape(x) == ()
-        np.testing.assert_array_equal(x, one[0])
+def test_newton_one_point_chunk_is_that_point_of_a_larger_chunk(material, width, depth, lam):
+    """A point refined alone in a one-point chunk returns the bits it gets
+    as element 2 of a five-point chunk."""
+    lams = np.array([780.0, lam - 20.0, lam, lam + 20.0, 1700.0])
+    n_b = material.sellmeier("ordinary").index(lams)
+    dn = material.increments.increment("ordinary", lams)
+    ones = np.ones(5)
+    chunk = modesolver._newton(width, depth, n_b, dn, lams, ones, ones)
+    alone = modesolver._newton(width, depth, n_b[2:3], dn[2:3], lams[2:3], ones[:1], ones[:1])
+    for one, many in zip(alone, chunk):
+        assert one.shape == (1,)
+        assert one.tobytes() == many[2:3].tobytes()
+
+
+def test_solver_output_passes_the_caller_check(table_results, monkeypatch):
+    """Every field the solver returns has its alphas above ALPHA_CUT and
+    builds as a caller's TrialField: the five design modes of the four
+    table rows, the four arms of ``amplitudes_at`` over 201 samples and a
+    3,000-point warm ``solve_mode``. So solver output may skip the check."""
+    fields = []
+
+    def check(mode):
+        f = mode.field
+        assert np.all(f.alpha_y > modesolver.ALPHA_CUT)
+        assert np.all(f.alpha_z > modesolver.ALPHA_CUT)
+        TrialField(f.alpha_y, f.alpha_z, f.width_w, f.depth_h)
+        fields.append(f)
+
+    def solve_many(ctx, requests, starts=None):
+        modes = original(ctx, requests, starts)
+        for mode in modes:
+            check(mode)
+        return modes
+
+    original = ModeContext.solve_many
+    monkeypatch.setattr(ModeContext, "solve_many", solve_many)
+    for result in table_results.values():
+        for mode in result.modes.values():
+            check(mode)
+        result.amplitudes_at(result.spec.signal_grid(8.0, 201))
+    assert len(fields) == 4 * (5 + 4)
+    ie = table_results[(10.0, 10.0)].modes["ie"]
+    lams = np.random.default_rng(7).uniform(1450.0, 1700.0, 3000)
+    ctx = table_results[(10.0, 10.0)].context
+    n_b, dn = ctx.indices("extraordinary", lams)
+    check(solve_mode(ctx.geometry, n_b, dn, lams, "extraordinary",
+                     ie.field.alpha_y, ie.field.alpha_z))
+    assert fields[-1].alpha_y.shape == (3000,)
 
 
 def test_first_failing_point_over_all_stages(material):

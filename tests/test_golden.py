@@ -12,7 +12,12 @@ ratio. Strings and integers must match exactly.
 at full precision. The spectrum path re-solves its modes from the design
 point's, and these tolerances are what a change of start may move:
 SPECTRUM_ATOL on intensities, SPECTRUM_FWHM_RTOL on the FWHMs and
-GOLDEN_RTOL on the grid and the filtered gamma.
+GOLDEN_RTOL on the grid and the filtered gamma. The CLI's spectrum CSV,
+printed to six significant digits, matches the same golden within
+CSV_RTOL relative plus CSV_ATOL.
+
+None of these tests needs scipy or hypothesis: they also run against a
+numpy-only install of the package.
 """
 
 import json
@@ -30,6 +35,8 @@ GOLDEN_RTOL = 1e-12
 GOLDEN_ATOL_DK = 1e-15  # rad/um
 SPECTRUM_ATOL = 1e-9
 SPECTRUM_FWHM_RTOL = 1e-9
+CSV_RTOL = 5e-6
+CSV_ATOL = 1e-9
 
 
 def assert_matches(got, want, key=""):
@@ -82,3 +89,28 @@ def test_spectrum_matches_golden(spec, material):
     assert f_eo == pytest.approx(want["fwhm_eo_nm"], rel=SPECTRUM_FWHM_RTOL, abs=0.0)
     assert result.filtered_gamma(want["filter_fwhm_nm"]) == pytest.approx(
         want["filtered_gamma"], rel=GOLDEN_RTOL, abs=0.0)
+
+
+def test_spectrum_csv_matches_golden(tmp_path, capsys):
+    """`spectrum` prints the golden spectrum: its FWHM header lines and
+    every data row, within the CLI's print precision."""
+    want = json.loads((GOLDEN / "spectrum_10x10.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"depth_um": want["depth_um"], "width_um": want["width_um"]}))
+    assert main(["spectrum", "--config", str(config), "--samples", str(want["samples"]),
+                 "--half-range-nm", str(want["half_range_nm"])]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+
+    def close(text, value):
+        return abs(float(text) - value) <= CSV_RTOL * abs(value) + CSV_ATOL
+
+    header = dict(line[2:].split(" = ") for line in lines if " = " in line)
+    assert close(header["FWHM_oe_nm"], want["fwhm_oe_nm"]), header
+    assert close(header["FWHM_eo_nm"], want["fwhm_eo_nm"]), header
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == want["samples"]
+    for row, *values in zip(rows, want["lambda_s_nm"], want["intensity_oe"],
+                            want["intensity_eo"]):
+        assert len(row) == 3 and all(close(t, v) for t, v in zip(row, values)), (row, values)

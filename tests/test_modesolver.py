@@ -77,8 +77,11 @@ def test_trial_field_vanishes_in_cover():
 
 
 def test_trial_field_needs_positive_alphas():
-    with pytest.raises(ValueError, match="must be positive"):
-        TrialField(0.0, 1.0, 10, 10)
+    """Every alpha > 0; NaN fails the check, alone or in an array."""
+    for alpha_y, alpha_z in [(0.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                             (1.0, np.array([1.0, math.nan, 2.0]))]:
+        with pytest.raises(ValueError, match="must be positive"):
+            TrialField(alpha_y, alpha_z, 10.0, 10.0)
 
 
 @pytest.mark.parametrize("start", [0.0, -1.0, math.nan])

@@ -44,8 +44,11 @@ class TestInteractionSpec:
             InteractionSpec(519.0, 780.0, lambda_i_nm=1600.0)
 
     def test_bad_ordering_rejected(self):
-        with pytest.raises(ConfigError):
-            InteractionSpec(780.0, 519.0)
+        for pump, signal in ((780.0, 519.0), (519.0, 519.0)):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"signal {signal} nm incompatible with pump {pump} nm: "
+                    "the signal must be longer than the pump")):
+                InteractionSpec(pump, signal)
         with pytest.raises(ConfigError):
             InteractionSpec(519.0, 780.0, length_mm=0.0)
 
