@@ -38,6 +38,10 @@ COINCIDENCE_TOL_UM = 1e-9
 # the reference grating (Lambda0 = 4.06 um, Lambdap = 36.1 um) and some
 # 40 MB of boundaries; a longer pattern is refused before it is allocated.
 MAX_PATTERN_FLIPS = 10**6
+# Interaction lengths (mm) a spec may have. Waveguide gratings are mm to cm
+# long; far outside this range the bandwidth and sinc arithmetic over- or
+# underflows.
+LENGTH_RANGE_MM = (1e-3, 1e4)
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,8 @@ class InteractionSpec:
     Energy conservation (1/lp = 1/ls + 1/li) is enforced exactly: a supplied
     idler wavelength within ENERGY_SNAP_RTOL of the conserving value is
     snapped onto it, anything farther off raises ConfigError. Omit
-    ``lambda_i_nm`` to have it derived. Every number must be finite.
+    ``lambda_i_nm`` to have it derived. Every number must be finite, and
+    ``length_mm`` within LENGTH_RANGE_MM.
     """
 
     lambda_p_nm: float
@@ -63,8 +68,10 @@ class InteractionSpec:
             check_number("lambda_i_nm", self.lambda_i_nm)
         if self.lambda_p_nm <= 0 or self.lambda_s_nm <= 0:
             raise ConfigError("wavelengths must be positive")
-        if self.length_mm <= 0:
-            raise ConfigError("interaction length must be positive")
+        lo, hi = LENGTH_RANGE_MM
+        if not lo <= self.length_mm <= hi:
+            raise ConfigError(f"interaction length must lie in [{lo}, {hi}] mm, "
+                              f"got {self.length_mm} mm")
         exact = self.idler_for(self.lambda_s_nm)
         if self.lambda_i_nm is not None:
             rel = abs(self.lambda_i_nm - exact) / exact
@@ -81,19 +88,24 @@ class InteractionSpec:
     def idler_for(self, lambda_s_nm):
         """Idler wavelength slaved to a signal wavelength at fixed pump.
 
-        Broadcasts over an array of signal wavelengths.
+        Broadcasts over an array of signal wavelengths. ConfigError names
+        the first signal that is not longer than the pump or whose idler
+        is not a finite positive number, as at the ends of the float range.
         """
         try:
             lam_s = np.asarray(lambda_s_nm, dtype=float)
         except (TypeError, ValueError):
             raise ConfigError(f"signal wavelength {lambda_s_nm!r} is not a number") from None
-        bad = ~(lam_s > self.lambda_p_nm)
+        with np.errstate(all="ignore"):  # what over- or underflows is refused below
+            idler = 1.0 / (1.0 / self.lambda_p_nm - 1.0 / lam_s)
+        bad = ~((lam_s > self.lambda_p_nm) & (idler > 0.0) & (idler < math.inf))
         if np.any(bad):
             raise ConfigError(
                 f"signal {float(lam_s[bad].flat[0])} nm incompatible with pump "
-                f"{self.lambda_p_nm} nm: the signal must be longer than the pump"
+                f"{self.lambda_p_nm} nm: the signal must be longer than the pump "
+                f"and give a finite idler"
             )
-        return 1.0 / (1.0 / self.lambda_p_nm - 1.0 / lam_s)
+        return idler
 
     def signal_grid(self, half_range_nm, n_samples: int) -> np.ndarray:
         """The ``n_samples`` evenly spaced signal wavelengths over lambda_s
@@ -138,12 +150,14 @@ class PolingPattern:
     ``domain_boundaries`` is a read-only float64 array of the positions where
     the sign flips, strictly increasing within (0, length_um). Each flip lies
     on its square wave's grid ``np.arange(h, L, h)``; its jump is 2 s(x+),
-    or 0 where a coincident pair is dropped. ``flip_blocks`` holds, per grid,
-    these jumps for ``fourier_component`` in blocks of B ~ sqrt(n) flips,
-    flip j of a block at start + fl(j h) + delta: ``(starts_hi, starts_lo,
-    offsets, weights)`` are the block starts split by ``_split``, fl(j h) for
-    j < B and the (2 blocks, B) array [W; W delta]. Patterns compare by
-    identity.
+    or 0 where a coincident pair is dropped. ``flip_blocks`` lays out these
+    jumps for ``fourier_component``: each grid's flips in blocks of
+    B = isqrt(n), flip j of a block at start + fl(j h) + delta. It is one
+    tuple ``(starts_hi, starts_lo, offsets, grids)``: both grids' block
+    starts, concatenated (carrier first) and split by ``_split``; both
+    grids' baby offsets fl(j h), j < B, concatenated; and per grid a pair
+    ``(steps, weights)``, the slice of ``offsets`` that grid's (2 blocks, B)
+    array [W; W delta] multiplies. Patterns compare by identity.
     """
 
     domain_boundaries: np.ndarray
@@ -159,12 +173,13 @@ def _split(a):
 
 
 def _blocks(flips, jumps, half):
-    """One grid's entry of ``PolingPattern.flip_blocks``, B = isqrt(n)."""
+    """One grid's blocks of B = isqrt(n) flips: their starts, the offsets
+    fl(j h) for j < B and the (2 blocks, B) array [W; W delta]."""
     width = math.isqrt(len(flips))
     pad = np.zeros(-len(flips) % width)
     x, w = (np.concatenate([v, pad]).reshape(-1, width) for v in (flips, jumps))
     offsets = half * np.arange(width)
-    return (*_split(x[:, 0]), offsets, np.concatenate([w, w * ((x - x[:, :1]) - offsets)]))
+    return x[:, 0], offsets, np.concatenate([w, w * ((x - x[:, :1]) - offsets)])
 
 
 def phase_matching_k(pump, signal, idler):
@@ -200,26 +215,27 @@ def periods_from_frequencies(K1: float, K2: float) -> GratingDesign:
     """Invert (K1, K2) into carrier and modulation periods.
 
     K0 = (K1 + K2)/2, Kp = |K1 - K2|/2; works for either ordering of the two
-    frequencies. Raises DegenerateModulation when K1 = K2.
+    frequencies. Every period 2 pi/K comes out finite and positive: raises
+    DegenerateModulation when K1 = K2 (to 1e-12) or Kp underflows to 0, and
+    ConfigError when a frequency is so small that its period overflows.
     """
     check_number("K1", K1)
     check_number("K2", K2)
     if K1 <= 0.0 or K2 <= 0.0:
         raise NonPositiveFrequency("spatial frequencies must be positive")
-    if math.isclose(K1, K2, rel_tol=1e-12, abs_tol=0.0):
-        raise DegenerateModulation(
-            "K1 = K2: modulation period diverges, use a single-period grating"
-        )
-    k0 = 0.5 * (K1 + K2)
+    k0 = 0.5 * K1 + 0.5 * K2  # K1 + K2 can overflow
     kp = 0.5 * abs(K1 - K2)
-    return GratingDesign(
-        K1=K1,
-        K2=K2,
-        Lambda1=TWO_PI / K1,
-        Lambda2=TWO_PI / K2,
-        Lambda0=TWO_PI / k0,
-        Lambdap=TWO_PI / kp,
-    )
+    if kp == 0.0 or math.isclose(K1, K2, rel_tol=1e-12, abs_tol=0.0):
+        raise DegenerateModulation(
+            f"K1 = {K1}, K2 = {K2} rad/um too close: modulation period diverges, "
+            "use a single-period grating"
+        )
+    periods = [TWO_PI / k for k in (K1, K2, k0, kp)]
+    if not all(math.isfinite(period) for period in periods):
+        raise ConfigError(f"K1 = {K1}, K2 = {K2} rad/um: a period 2 pi/K overflows")
+    lambda1, lambda2, lambda0, lambdap = periods
+    return GratingDesign(K1=K1, K2=K2, Lambda1=lambda1, Lambda2=lambda2,
+                         Lambda0=lambda0, Lambdap=lambdap)
 
 
 def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern:
@@ -274,7 +290,12 @@ def synthesize_pattern(design: GratingDesign, length_mm: float) -> PolingPattern
     flips_to0 = np.cumsum(np.bincount(first, minlength=n0)[:n0] + 1)
     jumps0 = keep0 * (2.0 - 4.0 * (flips_to0 & 1))
     jumpsp = keepp * (2.0 - 4.0 * ((first + np.arange(1, len(first) + 1)) & 1))
-    flip_blocks = (_blocks(flips0, jumps0, half0), _blocks(flipsp, jumpsp, halfp))
+    (starts0, offsets0, weights0), (startsp, offsetsp, weightsp) = (
+        _blocks(flips0, jumps0, half0), _blocks(flipsp, jumpsp, halfp))
+    b0 = len(offsets0)
+    flip_blocks = (*_split(np.concatenate([starts0, startsp])),
+                   np.concatenate([offsets0, offsetsp]),
+                   ((slice(0, b0), weights0), (slice(b0, None), weightsp)))
     return PolingPattern(domain_boundaries=boundaries, length_um=length_um,
                          half_periods_um=(half0, halfp), flip_blocks=flip_blocks)
 
@@ -284,28 +305,42 @@ def fourier_component(pattern: PolingPattern, K: float) -> complex:
 
     Exact, no sampling. By parts the integral is (1/(iK)) sum_j w_j
     exp(-iK x_j) over the sign jumps w_j at x_j: s(0+) at 0, -s(L-) at L and
-    the flips (see ``PolingPattern``). Per grid the flips sum to giant @
-    ([W; W delta] @ baby), with B baby steps exp(-iK fl(j h)), delta to
-    first order (|K delta| < 1e-9) and one giant step exp(-iK start) per
-    block, so one K costs O(sqrt(L/Lambda0)) exponentials. At K = K1 or K2
-    over an integer number of modulation periods the magnitude approaches
-    4/pi^2, with opposite signs for the two components.
+    the flips, laid out in blocks by ``PolingPattern.flip_blocks``. The flips
+    sum to giant @ ([W; W delta] @ baby) in one pass over both grids: one
+    exponential over the B0 + Bp baby steps exp(-iK fl(j h)), one product
+    per grid, delta to first order (|K delta| < 1e-9), two exponentials over
+    all block starts for the exact giant steps exp(-iK start) and one dot.
+    So one K costs O(sqrt(L/Lambda0)) exponentials. At K = K1 or K2 over an
+    integer number of modulation periods the magnitude approaches 4/pi^2,
+    with opposite signs for the two components.
+
+    Every finite K gives a finite complex or a ConfigError, and no warning.
+    Where |K| L <= 2^-52, K = 0 included, the result is the mean sign, which
+    differs from the component by at most |K| L / 2. Where |K| L > 2^52 it
+    is a ConfigError: there one ulp of a flip near the far facet turns its
+    phase by up to a radian, so the stored positions no longer fix the sum.
     """
     check_number("K", K)
     length = pattern.length_um
-    if K == 0.0:  # the mean sign; the domains alternate +1, -1 from x = 0
+    phase = abs(K) * length
+    if not phase <= 2.0**52:
+        raise ConfigError(f"K = {K} rad/um over {length} um: |K| L = {phase:.3g} rad "
+                          f"is beyond 2^52, where the flip positions no longer fix the sum")
+    if phase <= 2.0**-52:  # the mean sign; the domains alternate +1, -1 from x = 0
         widths = np.diff(pattern.domain_boundaries, prepend=0.0, append=length)
         return complex((widths[::2].sum() - widths[1::2].sum()) / length)
     # K start = k_hi starts_hi (exact) + a rest < 2^-25 K start; one rounded
     # product would err alike on a block's B flips (3.6e-12 at 10^6 flips)
     k_hi, k_lo = _split(K)
-    total = 1.0 - (-1.0) ** len(pattern.domain_boundaries) * np.exp(-1j * K * length)
-    for starts_hi, starts_lo, offsets, weights in pattern.flip_blocks:
-        baby = np.exp(-1j * K * offsets).view(float).reshape(-1, 2)
-        jumps, moments = (weights @ baby).view(complex).reshape(2, -1)
-        giant = (np.exp(-1j * (k_hi * starts_hi))
-                 * np.exp(-1j * (k_hi * starts_lo + k_lo * (starts_hi + starts_lo))))
-        total += giant @ (jumps - 1j * K * moments)
+    starts_hi, starts_lo, offsets, grids = pattern.flip_blocks
+    baby = np.exp(-1j * K * offsets).view(float).reshape(-1, 2)
+    jumps, moments = np.concatenate(
+        [(weights @ baby[steps]).view(complex).reshape(2, -1) for steps, weights in grids],
+        axis=1)
+    giant = (np.exp(-1j * (k_hi * starts_hi))
+             * np.exp(-1j * (k_hi * starts_lo + k_lo * (starts_hi + starts_lo))))
+    total = (1.0 - (-1.0) ** len(pattern.domain_boundaries) * np.exp(-1j * K * length)
+             + giant @ (jumps - 1j * K * moments))
     return complex(total / (1j * K * length))
 
 

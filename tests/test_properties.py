@@ -114,9 +114,11 @@ def test_design_bandwidth_ratio_length_invariant(reference_result):
 
 
 # An argument of a public entry point: typical in three draws of four, else
-# NaN, +-inf, 0, a negative number, a bool or a string.
+# NaN, +-inf, 0, a negative number, a finite number at the ends of the float
+# range (largest, subnormal), a bool or a string.
 EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0, -1.0, -1e300,
-                         True, False, "a", ""])
+                         1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324,
+                         1e-310, True, False, "a", ""])
 
 
 def arg(typical):

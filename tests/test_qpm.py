@@ -18,7 +18,7 @@ from qpmdesign import (
     synthesize_pattern,
 )
 from qpmdesign.modesolver import ModalSolution, TrialField
-from qpmdesign.qpm import MAX_PATTERN_FLIPS, export_pattern_csv
+from qpmdesign.qpm import LENGTH_RANGE_MM, MAX_PATTERN_FLIPS, export_pattern_csv
 
 from oracles import reference_boundaries, reference_fourier_component, sign_at
 
@@ -57,6 +57,27 @@ class TestInteractionSpec:
     def test_non_finite_number_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be a finite number, got {value}$"):
             InteractionSpec(519.0, 780.0, **{field: value})
+
+    @pytest.mark.parametrize("length_mm", [1e308, 5e-324, 1e-310, 0.0, -1.0])
+    def test_length_outside_range_rejected(self, length_mm):
+        """Lengths outside LENGTH_RANGE_MM, at which design_point warned
+        of overflow in the bandwidths and sinc factors, are ConfigErrors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"interaction length must lie in [0.001, 10000.0] mm, got {length_mm} mm")):
+                InteractionSpec(519.0, 780.0, length_mm=length_mm)
+        for length_mm in LENGTH_RANGE_MM:
+            assert InteractionSpec(519.0, 780.0, length_mm=length_mm).length_mm == length_mm
+
+    @pytest.mark.parametrize("pump, signal", [(1e308, 1.7976931348623157e308),
+                                              (5e-324, 1e-310)])
+    def test_idler_beyond_float_range_rejected(self, pump, signal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"signal {signal} nm incompatible with pump {pump} nm")):
+                InteractionSpec(pump, signal)
 
     def test_signal_grid(self):
         spec = InteractionSpec(519.0, 780.0)
@@ -143,6 +164,24 @@ class TestPeriods:
         with pytest.raises(ConfigError, match=f"^K1 must be a finite number, got {k1}$"):
             periods_from_frequencies(k1, 1.0)
 
+    def test_float_range_ends(self):
+        """Finite, positive periods or a QpmDesignError at both ends of the
+        float range, where Kp underflowed (ZeroDivisionError), K1 + K2
+        overflowed (Lambda0 = 0) or every period overflowed (inf)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateModulation, match="too close"):
+                periods_from_frequencies(5e-324, 1e-323)
+            with pytest.raises(ConfigError, match=re.escape(
+                    "K1 = 1e-310, K2 = 3e-310 rad/um: a period 2 pi/K overflows")):
+                periods_from_frequencies(1e-310, 3e-310)
+            design = periods_from_frequencies(1e308, 1.7e308)
+            periods = (design.Lambda1, design.Lambda2, design.Lambda0, design.Lambdap)
+            assert all(0.0 < period < math.inf for period in periods)
+            assert design.Lambda0 == TWO_PI / 1.35e308
+            with pytest.raises(ConfigError, match="domain flips"):
+                synthesize_pattern(design, 10.0)
+
 
 def commensurate_design(lambda0=2.0, lambdap=6.0):
     k0 = TWO_PI / lambda0
@@ -224,6 +263,31 @@ class TestPattern:
             assert np.all(np.diff(b) > 0.0)
             assert b[0] > 0.0 and b[-1] < pattern.length_um
 
+    def test_flip_blocks_hold_every_kept_flip(self):
+        """On bench-shaped and commensurate designs, the jumps of
+        ``flip_blocks`` total 2 per boundary, and start + offset +
+        (W delta)/W of each nonzero jump gives back ``domain_boundaries``."""
+        _, commensurate = flip_reference_cases()
+        designs = [(design, length_mm) for design, length_mm, _ in bench_shaped_requests()]
+        for design, length_mm in designs + commensurate:
+            pattern = synthesize_pattern(design, length_mm)
+            starts_hi, starts_lo, offsets, grids = pattern.flip_blocks
+            starts = starts_hi + starts_lo
+            first, flips, jumps = 0, [], 0.0
+            for steps, weights in grids:
+                w, w_delta = np.split(weights, 2)
+                block_starts = starts[first:first + len(w)]
+                first += len(w)
+                jumps += np.abs(w).sum()
+                kept = w != 0.0
+                x = block_starts[:, None] + offsets[steps] + w_delta / np.where(kept, w, 1.0)
+                flips.append(x[kept])
+            assert first == len(starts)
+            assert jumps == 2 * len(pattern.domain_boundaries)
+            flips = np.sort(np.concatenate(flips))
+            assert len(flips) == len(pattern.domain_boundaries)
+            np.testing.assert_allclose(flips, pattern.domain_boundaries, rtol=0.0, atol=1e-9)
+
     def test_too_short_length_rejected(self):
         design = commensurate_design()
         with pytest.raises(ConfigError):
@@ -260,6 +324,24 @@ class TestFourier:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=f"^K must be a finite number, got {k}$"):
                 fourier_component(self.pattern, k)
+
+    def test_every_finite_frequency_gives_a_number_or_config_error(self):
+        """|K| L beyond 2^52 is a ConfigError (K L overflowed to NaN with
+        warnings); |K| L up to 2^-52 gives the mean sign (a subnormal K
+        overflowed the final division); K in between gives a finite complex."""
+        length = self.pattern.length_um
+        mean = fourier_component(self.pattern, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1e305, -1e305, 1e308, -1e308, 1.7976931348623157e308,
+                      2.0**52 / length * 1.0000001):
+                with pytest.raises(ConfigError, match=r"\|K\| L = .* is beyond 2\^52"):
+                    fourier_component(self.pattern, k)
+            for k in (5e-324, -5e-324, 1e-310, 2.0**-52 / length):
+                assert fourier_component(self.pattern, k) == mean
+            for k in (2.0**52 / length, -(2.0**52) / length, 2.0**-51 / length, 1e-9):
+                c = fourier_component(self.pattern, k)
+                assert math.isfinite(c.real) and math.isfinite(c.imag)
 
     def test_zero_frequency_vanishes(self):
         assert abs(fourier_component(self.pattern, 0.0)) < 1e-3
