@@ -55,15 +55,12 @@ class DesignConfig:
         )
 
     def material(self) -> Material:
-        """The Sellmeier sets and increment table, checked against the
-        config's temperature."""
-        sets = load_sellmeier_sets(self.sellmeier_file)
-        for sellmeier in sets.values():
-            sellmeier.check_temperature(self.temperature_c)
+        """The Sellmeier fit, checked against the config's temperature, and
+        the increment table."""
+        sellmeier = load_sellmeier_sets(self.sellmeier_file)
+        sellmeier.check_temperature(self.temperature_c)
         entries = tuple(tuple(float(v) for v in row) for row in self.index_increments)
-        table = IndexIncrementTable(entries)
-        return Material(ordinary=sets["ordinary"],
-                        extraordinary=sets["extraordinary"], increments=table)
+        return Material(sellmeier, IndexIncrementTable(entries))
 
     def single_geometry(self) -> WaveguideGeometry:
         if self.is_sweep:

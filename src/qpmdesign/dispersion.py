@@ -38,26 +38,28 @@ def normalize_polarization(pol: str) -> Polarization:
 
 @dataclass(frozen=True)
 class SellmeierSet:
-    """One polarization's dispersion fit for congruent LiNbO3.
+    """The dispersion fit of congruent LiNbO3: seven coefficients for each
+    polarization, one temperature model and one validated range.
 
     n^2 = A1 + (A2 + B1*F) / (lam^2 - (A3 + B2*F)^2) + B3*F - A4*lam^2
     with F = (T - t0)*(T + t0 + t_offset), lam in um, T in degC.
     """
 
-    polarization: Polarization
-    coefficients: tuple[float, ...]  # (A1, A2, A3, A4, B1, B2, B3)
-    t0_c: float = 24.5
-    t_offset_c: float = 546.32
-    wavelength_range_nm: tuple[float, float] = (400.0, 2000.0)
-    temperature_range_c: tuple[float, float] = (20.0, 200.0)
+    ordinary: tuple[float, ...]  # (A1, A2, A3, A4, B1, B2, B3)
+    extraordinary: tuple[float, ...]
+    t0_c: float
+    t_offset_c: float
+    wavelength_range_nm: tuple[float, float]
+    temperature_range_c: tuple[float, float]
 
     def __post_init__(self):
-        count = len(self.coefficients)
-        if count != 7:
-            raise ConfigError(f"{self.polarization} coefficients must be 7 numbers "
-                              f"(A1, A2, A3, A4, B1, B2, B3), got {count}")
-        for c in self.coefficients:
-            check_number(f"{self.polarization} coefficients", c)
+        for pol in ("ordinary", "extraordinary"):
+            coefficients = getattr(self, pol)
+            if len(coefficients) != 7:
+                raise ConfigError(f"{pol} coefficients must be 7 numbers "
+                                  f"(A1, A2, A3, A4, B1, B2, B3), got {len(coefficients)}")
+            for c in coefficients:
+                check_number(f"{pol} coefficients", c)
         check_number("t0_c", self.t0_c)
         check_number("t_offset_c", self.t_offset_c)
         for name in ("wavelength_range_nm", "temperature_range_c"):
@@ -75,8 +77,9 @@ class SellmeierSet:
                 f"temperature {temperature_c} C outside validated range [{tlo}, {thi}] C"
             )
 
-    def index(self, wavelength_nm, temperature_c: float = 25.0):
+    def index(self, polarization: str, wavelength_nm, temperature_c: float):
         """Bulk index; an array of wavelengths gives an array."""
+        coefficients = getattr(self, normalize_polarization(polarization))
         lam_nm = np.asarray(wavelength_nm, dtype=float)
         lo, hi = self.wavelength_range_nm
         inside = (lam_nm >= lo) & (lam_nm <= hi)
@@ -86,7 +89,7 @@ class SellmeierSet:
                 f"range [{lo}, {hi}] nm"
             )
         self.check_temperature(temperature_c)
-        a1, a2, a3, a4, b1, b2, b3 = self.coefficients
+        a1, a2, a3, a4, b1, b2, b3 = coefficients
         lam = lam_nm * 1e-3  # um
         # lam * lam, not lam**2: numpy's scalar power can round a square
         # differently from its array power, and a scalar is one array element
@@ -96,13 +99,13 @@ class SellmeierSet:
         return np.sqrt(n2)
 
 
-def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, SellmeierSet]:
-    """Load the two polarization sets from a JSON data file.
+def load_sellmeier_sets(path: str | None = None) -> SellmeierSet:
+    """Load the fit of both polarizations from a JSON data file.
 
     With no path, the packaged congruent-LiNbO3 fit is used. The file layout
     is documented by the packaged ``data/linbo3_sellmeier.json``. A file
-    that cannot be read, is not JSON, lacks a key or holds a field of the
-    wrong shape is a ConfigError.
+    that cannot be read, is not JSON, lacks a key, names a polarization
+    twice or holds a field of the wrong shape is a ConfigError.
     """
     try:
         if path is None:
@@ -112,17 +115,18 @@ def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, Sellmeier
             with open(path) as fh:
                 raw = fh.read()
         doc = json.loads(raw)
-        out: dict[Polarization, SellmeierSet] = {}
-        for pol, entry in doc["sets"].items():
-            pol = normalize_polarization(pol)
-            out[pol] = SellmeierSet(
-                polarization=pol,
-                coefficients=tuple(entry["coefficients"]),
-                t0_c=doc["t0_c"],
-                t_offset_c=doc["t_offset_c"],
-                wavelength_range_nm=tuple(doc["wavelength_range_nm"]),
-                temperature_range_c=tuple(doc["temperature_range_c"]),
-            )
+        sets = {normalize_polarization(pol): entry["coefficients"]
+                for pol, entry in doc["sets"].items()}
+        if len(sets) < len(doc["sets"]):
+            raise ConfigError(f"sets name a polarization twice: {list(doc['sets'])}")
+        return SellmeierSet(
+            ordinary=tuple(sets["ordinary"]),
+            extraordinary=tuple(sets["extraordinary"]),
+            t0_c=doc["t0_c"],
+            t_offset_c=doc["t_offset_c"],
+            wavelength_range_nm=tuple(doc["wavelength_range_nm"]),
+            temperature_range_c=tuple(doc["temperature_range_c"]),
+        )
     except OSError as exc:
         raise ConfigError(f"cannot read Sellmeier file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -134,9 +138,6 @@ def load_sellmeier_sets(path: str | None = None) -> dict[Polarization, Sellmeier
     except (TypeError, AttributeError) as exc:
         raise ConfigError(f"Sellmeier file {path} does not follow the "
                           f"documented layout: {exc}") from exc
-    if set(out) != {"ordinary", "extraordinary"}:
-        raise ConfigError(f"Sellmeier file {path} must define both polarizations")
-    return out
 
 
 # Ti in-diffusion surface index increments at the design wavelengths.
@@ -160,17 +161,19 @@ class IndexIncrementTable:
     entries: tuple[tuple[float, float, float], ...] = DEFAULT_INCREMENTS
 
     def __post_init__(self):
-        lams = [e[0] for e in self.entries]
         if len(self.entries) < 2:
             raise ConfigError("increment table needs at least two entries")
-        if any(b <= a for a, b in zip(lams, lams[1:])):
-            raise ConfigError("increment table wavelengths must be strictly increasing")
         for lam, dno, dne in self.entries:
+            for v in (lam, dno, dne):
+                check_number("increment table entry", v)
             # zero is tolerated (yields NoGuidedMode downstream), negatives are not
             if not (0.0 <= dno < 0.01 and 0.0 <= dne < 0.01):
                 raise ConfigError(
                     f"index increments at {lam} nm must lie in [0, 0.01), got {dno}, {dne}"
                 )
+        lams = [e[0] for e in self.entries]
+        if any(b <= a for a, b in zip(lams, lams[1:])):
+            raise ConfigError("increment table wavelengths must be strictly increasing")
 
     def increment(self, polarization: str, wavelength_nm):
         """Increment by linear interpolation (end values held outside the

@@ -31,22 +31,16 @@ from .spdc import ProcessAmplitudes
 
 @dataclass(frozen=True)
 class Material:
-    """Bulk dispersion plus diffusion index increments."""
+    """Bulk dispersion plus diffusion index increments, both looked up by
+    (polarization, wavelength)."""
 
-    ordinary: SellmeierSet
-    extraordinary: SellmeierSet
+    sellmeier: SellmeierSet
     increments: IndexIncrementTable
 
     @classmethod
     def default(cls) -> "Material":
         """Packaged congruent-LiNbO3 fit with the default increment table."""
-        sets = load_sellmeier_sets()
-        return cls(ordinary=sets["ordinary"], extraordinary=sets["extraordinary"],
-                   increments=IndexIncrementTable())
-
-    def sellmeier(self, polarization: str) -> SellmeierSet:
-        pol = normalize_polarization(polarization)
-        return self.ordinary if pol == "ordinary" else self.extraordinary
+        return cls(load_sellmeier_sets(), IndexIncrementTable())
 
 
 class ModeContext:
@@ -65,7 +59,7 @@ class ModeContext:
 
     def indices(self, polarization: str, wavelength_nm):
         """(n_b, delta_n) at one wavelength or an array of them."""
-        n_b = self.material.sellmeier(polarization).index(wavelength_nm, self.temperature_c)
+        n_b = self.material.sellmeier.index(polarization, wavelength_nm, self.temperature_c)
         dn = self.material.increments.increment(polarization, wavelength_nm)
         return n_b, dn
 

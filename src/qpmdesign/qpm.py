@@ -315,10 +315,13 @@ def fourier_component(pattern: PolingPattern, K: float) -> complex:
     with opposite signs for the two components.
 
     Every finite K gives a finite complex or a ConfigError, and no warning.
-    Where |K| L <= 2^-52, K = 0 included, the result is the mean sign, which
-    differs from the component by at most |K| L / 2. Where |K| L > 2^52 it
-    is a ConfigError: there one ulp of a flip near the far facet turns its
-    phase by up to a radian, so the stored positions no longer fix the sum.
+    Where |K| L <= 1, K = 0 included, dividing by K would cost digits, so the
+    domains are summed instead, one exponential each: (1/L) sum_m s_m w_m
+    sinc(K w_m / 2) exp(-iK c_m) over their signs, widths and centres. Its
+    real and imaginary parts are float sums, so K = 0 gives the mean sign
+    exactly. Where |K| L > 2^52 it is a ConfigError: there one ulp of a flip
+    near the far facet turns its phase by up to a radian, so the stored
+    positions no longer fix the sum.
     """
     check_number("K", K)
     length = pattern.length_um
@@ -326,9 +329,11 @@ def fourier_component(pattern: PolingPattern, K: float) -> complex:
     if not phase <= 2.0**52:
         raise ConfigError(f"K = {K} rad/um over {length} um: |K| L = {phase:.3g} rad "
                           f"is beyond 2^52, where the flip positions no longer fix the sum")
-    if phase <= 2.0**-52:  # the mean sign; the domains alternate +1, -1 from x = 0
-        widths = np.diff(pattern.domain_boundaries, prepend=0.0, append=length)
-        return complex((widths[::2].sum() - widths[1::2].sum()) / length)
+    if phase <= 1.0:  # the domains alternate +1, -1 from x = 0
+        edges = np.concatenate(([0.0], pattern.domain_boundaries, [length]))
+        widths = np.diff(edges)
+        t = widths * np.sinc(K * widths / TWO_PI) * np.exp(-1j * K * (edges[:-1] + 0.5 * widths))
+        return complex(*((p[::2].sum() - p[1::2].sum()) / length for p in (t.real, t.imag)))
     # K start = k_hi starts_hi (exact) + a rest < 2^-25 K start; one rounded
     # product would err alike on a block's B flips (3.6e-12 at 10^6 flips)
     k_hi, k_lo = _split(K)

@@ -10,7 +10,8 @@ parameters, a group index that re-solves the mode around its
 wavelength, a design point that solves its five modes one at a time, a
 per-sample loop of cold mode solves that the batched spectra
 and filtered gamma are checked against, a flip-by-flip poling-pattern
-synthesis, and a Fourier component summed one domain edge at a time. They
+synthesis, and a Fourier component summed one domain edge at a time or,
+exactly, one domain at a time in closed form. They
 exist only to check the package's closed forms and fast paths.
 """
 
@@ -375,6 +376,22 @@ def _veltkamp(a):
     c = 134217729.0 * a
     hi = c - (c - a)
     return hi, a - hi
+
+
+def domain_sum_fourier_component(pattern: PolingPattern, K: float) -> complex:
+    """``fourier_component`` as (1/L) sum_m s_m w_m sinc(K w_m / 2)
+    exp(-iK c_m) over the domains' signs, widths and centres: each term in
+    double precision with ``math``, the terms summed exactly by
+    ``math.fsum``. It never divides by K, so it keeps its digits as K -> 0."""
+    edges = [0.0, *pattern.domain_boundaries.tolist(), pattern.length_um]
+    real, imag = [], []
+    for m, (a, b) in enumerate(zip(edges, edges[1:])):
+        x = 0.5 * K * (b - a)
+        amplitude = (-1.0) ** m * (b - a) * (math.sin(x) / x if x else 1.0)
+        centre_phase = K * (0.5 * (a + b))
+        real.append(amplitude * math.cos(centre_phase))
+        imag.append(-amplitude * math.sin(centre_phase))
+    return complex(math.fsum(real) / pattern.length_um, math.fsum(imag) / pattern.length_um)
 
 
 def reference_fourier_component(pattern: PolingPattern, K: float,

@@ -142,7 +142,7 @@ def test_criterion_5_variational_solver(material):
     ]
     grid_dev = 0.0
     for geom, pol, lam in cases:
-        n_b = material.sellmeier(pol).index(lam, 25.0)
+        n_b = material.sellmeier.index(pol, lam, 25.0)
         dn = material.increments.increment(pol, lam)
         sol = solve_mode(geom, n_b, dn, lam, polarization=pol)
         oracle = _grid_oracle_neff(geom, n_b, dn, lam)

@@ -94,7 +94,7 @@ def test_newton_matches_nelder_mead(material, depth, width, lam, pol):
 def test_newton_accepts_only_local_maxima(material, width, depth, pol, lam):
     """From seeds spread over the alpha plane, among them seeds near saddles
     of the closed form, only maxima may be accepted."""
-    n_b = material.sellmeier(pol).index(lam)
+    n_b = material.sellmeier.index(pol, lam, 25.0)
     dn = material.increments.increment(pol, lam)
     seeds = np.linspace(0.05, 12.0, 40)
     ay0, az0 = (a.ravel() for a in np.meshgrid(seeds, seeds, indexing="ij"))
@@ -119,7 +119,7 @@ def test_newton_one_point_chunk_is_that_point_of_a_larger_chunk(material, width,
     """A point refined alone in a one-point chunk returns the bits it gets
     as element 2 of a five-point chunk."""
     lams = np.array([780.0, lam - 20.0, lam, lam + 20.0, 1700.0])
-    n_b = material.sellmeier("ordinary").index(lams)
+    n_b = material.sellmeier.index("ordinary", lams, 25.0)
     dn = material.increments.increment("ordinary", lams)
     ones = np.ones(5)
     chunk = modesolver._newton(width, depth, n_b, dn, lams, ones, ones)
@@ -170,7 +170,7 @@ def test_first_failing_point_over_all_stages(material):
     the stage it fails in: a point past cutoff before one without an index
     increment is named with its own reason."""
     geom = WaveguideGeometry(4.5, 4.0)
-    n_b = material.sellmeier("ordinary").index(1551.0)
+    n_b = material.sellmeier.index("ordinary", 1551.0, 25.0)
     with pytest.raises(NoGuidedMode, match=re.escape(
             "no interior maximum of n_eff^2 at 1551.0 nm (w=4.5 um, h=4.0 um, dn=0.0025)")):
         solve_mode(geom, n_b, [0.0025, 0.0], [1551.0, 1552.0])
@@ -252,7 +252,8 @@ def test_scalar_calls_are_element_0_of_the_batch(table_results, depth, width):
     f64 = np.float64
     for lam in (spec.lambda_p_nm, spec.lambda_s_nm, spec.lambda_i_nm):
         one = np.array([lam])
-        same_bits(material.ordinary.index(lam), material.ordinary.index(one), f64)
+        same_bits(material.sellmeier.index("o", lam, 25.0),
+                  material.sellmeier.index("o", one, 25.0), f64)
         same_bits(material.increments.increment("e", lam),
                   material.increments.increment("e", one), f64)
         same_bits(neff_closed_form(1.3, 0.8, geom.width_w, geom.depth_h, 2.2, 0.003, lam),

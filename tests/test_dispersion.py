@@ -9,31 +9,39 @@ from qpmdesign.dispersion import (DEFAULT_INCREMENTS, IndexIncrementTable, load_
 
 from oracles import index_profile
 
-SETS = load_sellmeier_sets()
+SELLMEIER = load_sellmeier_sets()
 
 # Frozen regression value of the packaged coefficient set.
 N_E_1550_25C = 2.1380823495927244
 
 
 def test_pinned_extraordinary_index():
-    n = SETS["extraordinary"].index(1550.0, 25.0)
+    n = SELLMEIER.index("extraordinary", 1550.0, 25.0)
     assert 2.1 < n < 2.2
     assert n == pytest.approx(N_E_1550_25C, abs=0.0)
 
 
 def test_negative_uniaxial_ordering():
-    assert SETS["ordinary"].index(780.0, 25.0) > SETS["extraordinary"].index(780.0, 25.0)
+    assert (SELLMEIER.index("ordinary", 780.0, 25.0)
+            > SELLMEIER.index("extraordinary", 780.0, 25.0))
+
+
+def test_polarization_aliases_look_up_the_same_set():
+    for short, pol in (("o", "ordinary"), ("E", "extraordinary")):
+        assert SELLMEIER.index(short, 780.0, 80.0) == SELLMEIER.index(pol, 780.0, 80.0)
+    with pytest.raises(ConfigError, match="unknown polarization 'x'"):
+        SELLMEIER.index("x", 780.0, 25.0)
 
 
 def test_normal_dispersion_locally():
-    assert SETS["ordinary"].index(780.0, 25.0) > SETS["ordinary"].index(781.0, 25.0)
+    assert SELLMEIER.index("ordinary", 780.0, 25.0) > SELLMEIER.index("ordinary", 781.0, 25.0)
 
 
 @pytest.mark.parametrize("pol", ["ordinary", "extraordinary"])
 def test_index_physical_over_domain(pol):
     for lam in np.linspace(400.0, 2000.0, 33):
         for temp in (20.0, 25.0, 110.0, 200.0):
-            n = SETS[pol].index(lam, temp)
+            n = SELLMEIER.index(pol, lam, temp)
             assert n > 1.0
             assert math.isfinite(n)
 
@@ -42,11 +50,11 @@ def test_ordering_and_monotonicity_over_domain():
     lams = np.linspace(500.0, 1600.0, 111)
     for temp in (20.0, 25.0, 200.0):
         for pol in ("ordinary", "extraordinary"):
-            ns = [SETS[pol].index(lam, temp) for lam in lams]
+            ns = [SELLMEIER.index(pol, lam, temp) for lam in lams]
             assert all(a > b for a, b in zip(ns, ns[1:]))
         assert all(
-            SETS["ordinary"].index(lam, temp)
-            > SETS["extraordinary"].index(lam, temp)
+            SELLMEIER.index("ordinary", lam, temp)
+            > SELLMEIER.index("extraordinary", lam, temp)
             for lam in lams[:: 10]
         )
 
@@ -55,7 +63,7 @@ def test_ordering_and_monotonicity_over_domain():
                                       (780.0, 10.0), (780.0, 300.0)])
 def test_out_of_range(lam, temp):
     with pytest.raises(OutOfRange):
-        SETS["ordinary"].index(lam, temp)
+        SELLMEIER.index("ordinary", lam, temp)
 
 
 TABLE = IndexIncrementTable(DEFAULT_INCREMENTS)
@@ -77,6 +85,16 @@ def test_increment_linear_interpolation():
     mid = 0.5 * (519.0 + 780.0)
     assert TABLE.increment("ordinary", mid) == pytest.approx(
         0.5 * (0.0038 + 0.0034), rel=1e-12)
+
+
+@pytest.mark.parametrize("entries", [
+    ((math.nan, 0.003, 0.003), (780.0, 0.003, 0.003)),
+    ((519.0, 0.003, 0.003), (math.inf, 0.003, 0.003)),
+    ((519.0, "0.003", 0.003), (780.0, 0.003, 0.003)),
+], ids=["nan_wavelength", "inf_wavelength", "string_increment"])
+def test_increment_table_refuses_entries_that_are_not_finite_numbers(entries):
+    with pytest.raises(ConfigError, match="^increment table entry must be a finite number"):
+        IndexIncrementTable(entries)
 
 
 def test_increment_out_of_span_and_clamp():

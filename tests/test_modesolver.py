@@ -175,7 +175,7 @@ def test_newton_keeps_alphas_positive(material, monkeypatch, width, depth, pol, 
     """From seeds spread over [0.05, 12]^2, guided or past cutoff, the
     halving cap keeps every alpha positive, through steps with det H <= 0
     too."""
-    n_b = material.sellmeier(pol).index(lam)
+    n_b = material.sellmeier.index(pol, lam, 25.0)
     dn = material.increments.increment(pol, lam)
     seeds = np.linspace(0.05, 12.0, 40)
     ay0, az0 = (a.ravel() for a in np.meshgrid(seeds, seeds, indexing="ij"))

@@ -20,7 +20,8 @@ from qpmdesign import (
 from qpmdesign.modesolver import ModalSolution, TrialField
 from qpmdesign.qpm import LENGTH_RANGE_MM, MAX_PATTERN_FLIPS, export_pattern_csv
 
-from oracles import reference_boundaries, reference_fourier_component, sign_at
+from oracles import (domain_sum_fourier_component, reference_boundaries,
+                     reference_fourier_component, sign_at)
 
 TWO_PI = 2.0 * math.pi
 
@@ -327,8 +328,9 @@ class TestFourier:
 
     def test_every_finite_frequency_gives_a_number_or_config_error(self):
         """|K| L beyond 2^52 is a ConfigError (K L overflowed to NaN with
-        warnings); |K| L up to 2^-52 gives the mean sign (a subnormal K
-        overflowed the final division); K in between gives a finite complex."""
+        warnings); |K| L up to 2^-52 gives the mean sign as its real part and
+        the exact per-domain sum's imaginary part (a subnormal K overflowed
+        the final division); K in between gives a finite complex."""
         length = self.pattern.length_um
         mean = fourier_component(self.pattern, 0.0)
         with warnings.catch_warnings():
@@ -338,10 +340,26 @@ class TestFourier:
                 with pytest.raises(ConfigError, match=r"\|K\| L = .* is beyond 2\^52"):
                     fourier_component(self.pattern, k)
             for k in (5e-324, -5e-324, 1e-310, 2.0**-52 / length):
-                assert fourier_component(self.pattern, k) == mean
+                c = fourier_component(self.pattern, k)
+                assert c.real == mean.real
+                assert abs(c.imag - domain_sum_fourier_component(self.pattern, k).imag) < 1e-15
             for k in (2.0**52 / length, -(2.0**52) / length, 2.0**-51 / length, 1e-9):
                 c = fourier_component(self.pattern, k)
                 assert math.isfinite(c.real) and math.isfinite(c.imag)
+
+    @pytest.mark.parametrize("length_mm", [10.0, 50.0])
+    def test_matches_exact_domain_sum_from_small_to_large_frequency(self, length_mm):
+        """On the reference grating, within 1e-15 of the exact per-domain sum
+        where |K| L <= 1 (the by-parts sum lost up to 2.4e-7 at |K| L = 3e-8
+        there) and within 1e-12 above, K = 0 and both signs of K included."""
+        design = periods_from_frequencies(TWO_PI / 4.579, TWO_PI / 3.652)
+        pattern = synthesize_pattern(design, length_mm)
+        length = pattern.length_um
+        for i, phase in enumerate([0.0, *np.logspace(-15, 2, 18), 0.5, 1.0, 1.0000001, 2.0]):
+            k = (-1.0) ** i * phase / length
+            bound = 1e-15 if abs(k) * length <= 1.0 else 1e-12
+            exact = domain_sum_fourier_component(pattern, k)
+            assert abs(fourier_component(pattern, k) - exact) < bound, phase
 
     def test_zero_frequency_vanishes(self):
         assert abs(fourier_component(self.pattern, 0.0)) < 1e-3
