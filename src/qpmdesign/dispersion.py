@@ -10,6 +10,7 @@ temperatures in degC.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -55,6 +56,9 @@ class SellmeierSet:
     def __post_init__(self):
         for pol in ("ordinary", "extraordinary"):
             coefficients = getattr(self, pol)
+            if not isinstance(coefficients, (tuple, list)):
+                raise ConfigError(f"{pol} coefficients must be a sequence of 7 numbers, "
+                                  f"got {coefficients!r}")
             if len(coefficients) != 7:
                 raise ConfigError(f"{pol} coefficients must be 7 numbers "
                                   f"(A1, A2, A3, A4, B1, B2, B3), got {len(coefficients)}")
@@ -64,6 +68,8 @@ class SellmeierSet:
         check_number("t_offset_c", self.t_offset_c)
         for name in ("wavelength_range_nm", "temperature_range_c"):
             bounds = getattr(self, name)
+            if not isinstance(bounds, (tuple, list)):
+                raise ConfigError(f"{name} must be two increasing numbers, got {bounds!r}")
             for b in bounds:
                 check_number(name, b)
             if len(bounds) != 2 or not bounds[0] < bounds[1]:
@@ -102,11 +108,25 @@ class SellmeierSet:
 def load_sellmeier_sets(path: str | None = None) -> SellmeierSet:
     """Load the fit of both polarizations from a JSON data file.
 
-    With no path, the packaged congruent-LiNbO3 fit is used. The file layout
-    is documented by the packaged ``data/linbo3_sellmeier.json``. A file
-    that cannot be read, is not JSON, lacks a key, names a polarization
-    twice or holds a field of the wrong shape is a ConfigError.
+    With no path, the packaged congruent-LiNbO3 fit is used: it is parsed on
+    the first such call of a process, and later calls return that same
+    frozen object. A path is read on every call, so a file rewritten
+    between calls is seen. The file layout is documented by the packaged
+    ``data/linbo3_sellmeier.json``. A file that cannot be read, is not
+    JSON, lacks a key, names a polarization twice or holds a field of the
+    wrong shape is a ConfigError.
     """
+    return _packaged_sellmeier() if path is None else _read_sellmeier(path)
+
+
+@functools.cache
+def _packaged_sellmeier() -> SellmeierSet:
+    """The packaged fit, read and parsed once per process."""
+    return _read_sellmeier(None)
+
+
+def _read_sellmeier(path: str | None) -> SellmeierSet:
+    """Read and parse a Sellmeier file (None: the packaged one)."""
     try:
         if path is None:
             raw = resources.files("qpmdesign.data").joinpath(
@@ -161,6 +181,10 @@ class IndexIncrementTable:
     entries: tuple[tuple[float, float, float], ...] = DEFAULT_INCREMENTS
 
     def __post_init__(self):
+        if not (isinstance(self.entries, (tuple, list)) and all(
+                isinstance(row, (tuple, list)) and len(row) == 3 for row in self.entries)):
+            raise ConfigError(f"increment table entries must be (wavelength_nm, dn_o, dn_e) "
+                              f"rows, got {self.entries!r}")
         if len(self.entries) < 2:
             raise ConfigError("increment table needs at least two entries")
         for lam, dno, dne in self.entries:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import WaveguideGeometry
+from .dispersion import WaveguideGeometry, normalize_polarization
 from .errors import NoGuidedMode
 
 # Newton stops once a step is below NEWTON_TOL (relative to alpha) or after
@@ -306,21 +306,41 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     )
 
 
-def group_index(mode: ModalSolution, indices) -> float:
-    """Group effective index N = n_eff - lambda dn_eff/dlambda of ``mode``.
+def indices_by_row(indices, polarizations, wavelength_nm):
+    """(n_b, delta_n) arrays shaped like ``wavelength_nm``, each row at its
+    entry of ``polarizations``, from one ``indices(polarization,
+    wavelengths) -> (n_b, delta_n)`` call per distinct polarization."""
+    lam = np.asarray(wavelength_nm, dtype=float)
+    n_b, dn = np.empty_like(lam), np.empty_like(lam)
+    for pol in dict.fromkeys(polarizations):
+        rows = [i for i, row_pol in enumerate(polarizations) if row_pol == pol]
+        n_b[rows], dn[rows] = indices(pol, lam[rows])
+    return n_b, dn
 
-    ``mode`` maximizes the closed form over the alphas, so dn_eff/dlambda is
+
+def group_index(modes, indices) -> tuple[float, ...]:
+    """Group effective index N = n_eff - lambda dn_eff/dlambda of each of
+    ``modes``, in order.
+
+    A mode maximizes the closed form over the alphas, so dn_eff/dlambda is
     the partial derivative at the mode's alphas (envelope theorem) and needs
     no re-solve. It is a central difference of step ``GROUP_INDEX_STEP_NM``
     of the closed form at those alphas, with the material indices
     ``indices(polarization, wavelengths) -> (n_b, delta_n)`` at the two
     wavelengths, so material dispersion of both n_b and delta_n is included.
+    The stencils of all modes of one polarization take one ``indices``
+    call. The closed form is evaluated per mode, on its scalar alphas: on
+    arrays of alphas numpy's power can round differently.
     """
-    lam, step = mode.wavelength_nm, GROUP_INDEX_STEP_NM
-    lams = np.array([lam - step, lam + step])
-    n_b, dn = indices(mode.polarization, lams)
-    f = mode.field
-    n_minus, n_plus = np.sqrt(neff_closed_form(f.alpha_y, f.alpha_z, f.width_w,
-                                               f.depth_h, n_b, dn, lams))
-    dn_dlam = (n_plus - n_minus) / (2.0 * step)
-    return mode.n_eff - lam * dn_dlam
+    step = GROUP_INDEX_STEP_NM
+    lams = np.array([[m.wavelength_nm - step, m.wavelength_nm + step] for m in modes])
+    n_b, dn = indices_by_row(indices, [normalize_polarization(m.polarization) for m in modes],
+                             lams)
+    n_group = []
+    for mode, lam_pair, n_b_pair, dn_pair in zip(modes, lams, n_b, dn):
+        f = mode.field
+        n_minus, n_plus = np.sqrt(neff_closed_form(f.alpha_y, f.alpha_z, f.width_w,
+                                                   f.depth_h, n_b_pair, dn_pair, lam_pair))
+        dn_dlam = (n_plus - n_minus) / (2.0 * step)
+        n_group.append(mode.n_eff - mode.wavelength_nm * dn_dlam)
+    return tuple(n_group)

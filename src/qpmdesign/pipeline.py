@@ -6,7 +6,8 @@ and solves modes for several (polarization, wavelengths) requests in one
 design, solving its five modes in one call, and returns a ``DesignResult``
 that evaluates off-design amplitudes, spectra and filtered entanglement
 degrees, each with one call for all four signal and idler modes at every
-sample, started from the design-point modes. Nothing is cached.
+sample, started from the design-point modes. The one cache is below this
+module: ``load_sellmeier_sets`` parses the packaged fit once per process.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .dispersion import (
     normalize_polarization,
 )
 from .errors import ConfigError, FilterTooWide, is_number
-from .modesolver import ModalSolution, TrialField, group_index, solve_mode
+from .modesolver import ModalSolution, TrialField, group_index, indices_by_row, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import ProcessAmplitudes
 
@@ -83,10 +84,7 @@ class ModeContext:
         pols = [normalize_polarization(pol) for pol, _ in requests]
         lam = np.stack([np.asarray(wavelength_nm, dtype=float)
                         for _, wavelength_nm in requests])
-        n_b, dn = np.empty_like(lam), np.empty_like(lam)
-        for pol in dict.fromkeys(pols):  # one index lookup per polarization
-            rows = [i for i, row_pol in enumerate(pols) if row_pol == pol]
-            n_b[rows], dn[rows] = self.indices(pol, lam[rows])
+        n_b, dn = indices_by_row(self.indices, pols, lam)
         alpha_y0 = alpha_z0 = 1.0
         if starts is not None:
             alpha_y0, alpha_z0 = np.empty_like(lam), np.empty_like(lam)
@@ -219,7 +217,7 @@ def design_point(spec: InteractionSpec, geometry: WaveguideGeometry,
     design = periods_from_frequencies(*required_frequencies(po, so, se, io, ie))
     amps = spdc.relative_amplitudes(po, so, se, io, ie, design, spec.length_mm)
     g = spdc.gamma(amps)
-    n_so, n_se, n_io, n_ie = (group_index(m, ctx.indices) for m in (so, se, io, ie))
+    n_so, n_se, n_io, n_ie = group_index((so, se, io, ie), ctx.indices)
     bw_oe, bw_eo = spdc.bandwidth_approx(n_so, n_se, n_io, n_ie,
                                          spec.lambda_s_nm, spec.length_mm)
     return DesignResult(

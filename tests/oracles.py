@@ -25,7 +25,7 @@ from scipy import integrate, optimize
 
 from qpmdesign import modesolver, spdc
 from qpmdesign.dispersion import WaveguideGeometry
-from qpmdesign.modesolver import ModalSolution, TrialField, group_index, neff_closed_form
+from qpmdesign.modesolver import ModalSolution, TrialField, neff_closed_form
 from qpmdesign.pipeline import ModeContext
 from qpmdesign.qpm import (COINCIDENCE_TOL_UM, GratingDesign, PolingPattern,
                            periods_from_frequencies, required_frequencies)
@@ -286,6 +286,20 @@ def reference_group_index(mode: ModalSolution,
     return mode.n_eff - lam * dn_dlam
 
 
+def per_mode_group_index(mode: ModalSolution, indices) -> float:
+    """``modesolver.group_index`` of one mode with its own material lookup:
+    ``indices(polarization, wavelengths) -> (n_b, delta_n)`` at the two
+    stencil wavelengths, then the closed form at the mode's alphas."""
+    lam, step = mode.wavelength_nm, modesolver.GROUP_INDEX_STEP_NM
+    lams = np.array([lam - step, lam + step])
+    n_b, dn = indices(mode.polarization, lams)
+    f = mode.field
+    n_minus, n_plus = np.sqrt(neff_closed_form(f.alpha_y, f.alpha_z, f.width_w,
+                                               f.depth_h, n_b, dn, lams))
+    dn_dlam = (n_plus - n_minus) / (2.0 * step)
+    return mode.n_eff - lam * dn_dlam
+
+
 def reference_design_point(spec, geometry, material) -> dict:
     """The figures of ``pipeline.design_point`` from five scalar
     ``ModeContext.solve`` calls, one per mode in the order po, so, se, io,
@@ -299,7 +313,7 @@ def reference_design_point(spec, geometry, material) -> dict:
     design = periods_from_frequencies(*required_frequencies(po, so, se, io, ie))
     amps = relative_amplitudes(po, so, se, io, ie, design, spec.length_mm)
     bw_oe, bw_eo = spdc.bandwidth_approx(
-        *(group_index(m, ctx.indices) for m in (so, se, io, ie)),
+        *(per_mode_group_index(m, ctx.indices) for m in (so, se, io, ie)),
         spec.lambda_s_nm, spec.length_mm)
     return {"gamma": spdc.gamma(amps), "Lambda1": design.Lambda1,
             "Lambda2": design.Lambda2, "Lambda0": design.Lambda0,

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from qpmdesign import (NoGuidedMode, TrialField, WaveguideGeometry, modesolver, neff_closed_form,
                        pipeline, solve_mode, spdc)
+from qpmdesign.dispersion import IndexIncrementTable, SellmeierSet
 from qpmdesign.pipeline import ModeContext, design_point
 
 from conftest import DESIGN_TABLE
@@ -313,6 +314,30 @@ def test_spectrum_request_solve_count(spec, material, monkeypatch):
     result.spectra(10.0, 2001)
     result.filtered_gamma(0.1)
     assert sizes == [5, 4 * 2001, 4 * spdc.FILTER_SAMPLES]
+
+
+def test_material_lookup_count(spec, material, monkeypatch):
+    """A design point looks up each polarization once for its five modes
+    and once for its group indices' eight stencil wavelengths: 4 Sellmeier
+    and 4 increment calls. Spectra and filtered gamma add one of each per
+    polarization, so a spectrum request makes 8 Sellmeier calls."""
+    calls = {"index": 0, "increment": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(SellmeierSet, "index")
+    counted(IndexIncrementTable, "increment")
+    result = design_point(spec, WaveguideGeometry(10.0, 10.0), material)
+    assert calls == {"index": 4, "increment": 4}
+    result.spectra(10.0, 201)
+    result.filtered_gamma(0.1)
+    assert calls == {"index": 8, "increment": 8}
 
 
 def test_spectrum_requests_start_from_the_design_modes(spec, material, monkeypatch):

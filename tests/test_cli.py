@@ -211,6 +211,24 @@ def test_design_request_validates_and_loads_once(monkeypatch, capsys):
     assert calls == {"load_sellmeier_sets": 1, "validate": 1}
 
 
+def test_rewritten_sellmeier_file_changes_the_output(tmp_path, capsys):
+    """A config's ``sellmeier_file`` is read on every request: a copy of the
+    packaged fit gives the packaged output byte for byte, and the same path
+    rewritten with another T0 gives another design."""
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps(PACKAGED_SELLMEIER))
+    cfg = write_config(tmp_path, sellmeier_file=str(fit))
+    assert main(["design"]) == EXIT_OK
+    packaged = capsys.readouterr().out
+    assert main(["design", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out == packaged
+    fit.write_text(json.dumps({**PACKAGED_SELLMEIER, "t0_c": 30.0}))
+    assert main(["design", "--config", cfg]) == EXIT_OK
+    rewritten = capsys.readouterr().out
+    assert rewritten != packaged
+    assert json.loads(rewritten)["gamma"] != json.loads(packaged)["gamma"]
+
+
 def test_parser_built_once_without_state_between_calls(monkeypatch, capsys):
     """``main`` reuses one parser per process. Calls with other subcommands
     and flags, a flag given once and then left out, print exactly what a

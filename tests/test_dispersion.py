@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qpmdesign import ConfigError, OutOfRange, WaveguideGeometry
+from qpmdesign import ConfigError, OutOfRange, WaveguideGeometry, dispersion
 from qpmdesign.dispersion import (DEFAULT_INCREMENTS, IndexIncrementTable, load_sellmeier_sets,
                                   normalize_polarization)
 
@@ -95,6 +96,48 @@ def test_increment_linear_interpolation():
 def test_increment_table_refuses_entries_that_are_not_finite_numbers(entries):
     with pytest.raises(ConfigError, match="^increment table entry must be a finite number"):
         IndexIncrementTable(entries)
+
+
+@pytest.mark.parametrize("entries", [
+    ((519.0, 0.003), (780.0, 0.003)),
+    ((519.0, 0.003, 0.003, 0.0), (780.0, 0.003, 0.003, 0.0)),
+    None,
+    "abc",
+    5.0,
+    (None, (780.0, 0.003, 0.003)),
+], ids=["two_number_rows", "four_number_rows", "none", "string", "number", "none_row"])
+def test_increment_table_refuses_malformed_entries(entries):
+    with pytest.raises(ConfigError, match="^increment table entries must be "
+                                          r"\(wavelength_nm, dn_o, dn_e\) rows"):
+        IndexIncrementTable(entries)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ordinary", None), ("extraordinary", 2.2), ("extraordinary", "abcdefg"),
+    ("wavelength_range_nm", None), ("temperature_range_c", 20.0),
+])
+def test_sellmeier_set_refuses_malformed_fields(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} .*must be"):
+        dataclasses.replace(SELLMEIER, **{field: value})
+
+
+def test_packaged_fit_is_parsed_once_per_process(monkeypatch):
+    """Without a path the packaged file is read and parsed on the first
+    call; later calls return that same frozen object."""
+    reads = []
+    read = dispersion._read_sellmeier
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(dispersion, "_read_sellmeier", counted)
+    dispersion._packaged_sellmeier.cache_clear()
+    first = load_sellmeier_sets()
+    assert load_sellmeier_sets() is first
+    assert load_sellmeier_sets(None) is first
+    assert reads == [None]
+    assert first == SELLMEIER
 
 
 def test_increment_out_of_span_and_clamp():

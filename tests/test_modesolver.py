@@ -7,11 +7,11 @@ from scipy import integrate
 from qpmdesign import NoGuidedMode, WaveguideGeometry, solve_mode
 from qpmdesign import modesolver
 from qpmdesign.modesolver import TrialField, group_index, neff_closed_form
-from qpmdesign.pipeline import ModeContext
+from qpmdesign.pipeline import ModeContext, design_point
 
 from conftest import DESIGN_TABLE
 from oracles import (amplitude, gauss_legendre_neff2, index_profile, neff_quadrature,
-                     reference_group_index)
+                     per_mode_group_index, reference_group_index)
 
 GEOM = WaveguideGeometry(10.0, 10.0)
 NB, DN, LAM = 2.2112, 0.0025, 1551.0
@@ -225,7 +225,7 @@ def n_eff_at_fixed_material(lams):
 def test_group_index_exceeds_phase_index(material):
     ctx = ModeContext(material, WaveguideGeometry(10.0, 10.0), 25.0)
     mode = ctx.solve("extraordinary", 780.0)
-    n_group = group_index(mode, ctx.indices)
+    (n_group,) = group_index([mode], ctx.indices)
     assert n_group > mode.n_eff
 
 
@@ -236,12 +236,43 @@ def test_group_index_matches_re_solving_reference(table_results, depth, width):
     polarizations."""
     result = table_results[(depth, width)]
     ctx = result.context
-    for key in ("so", "se", "io", "ie"):
+    keys = ("so", "se", "io", "ie")
+    n_group = group_index([result.modes[key] for key in keys], ctx.indices)
+    for key, n in zip(keys, n_group):
         mode = result.modes[key]
         ref = reference_group_index(
             mode, lambda lams: ctx.solve(mode.polarization, lams).n_eff)
-        assert abs(group_index(mode, ctx.indices) - ref) <= 1e-7
+        assert abs(n - ref) <= 1e-7
         assert abs(result.group_indices[f"N_{key}"] - ref) <= 1e-7
+
+
+def assert_group_indices_match_per_mode_lookup(result):
+    keys = ("so", "se", "io", "ie")
+    indices = result.context.indices
+    assert [result.group_indices[f"N_{key}"].hex() for key in keys] == [
+        per_mode_group_index(result.modes[key], indices).hex() for key in keys]
+
+
+def test_group_index_matches_per_mode_lookup_on_the_table(table_results):
+    """One material lookup per polarization gives the group indices of one
+    lookup per mode, bit for bit, on the four table rows."""
+    for result in table_results.values():
+        assert_group_indices_match_per_mode_lookup(result)
+
+
+def test_group_index_matches_per_mode_lookup_on_random_geometries(spec, material):
+    """The same on 200 seeded geometries, d, w in [3, 20] um; those past
+    cutoff raise NoGuidedMode in ``design_point`` and are skipped."""
+    rng = np.random.default_rng(26)
+    guided = 0
+    for depth, width in rng.uniform(3.0, 20.0, size=(200, 2)):
+        try:
+            result = design_point(spec, WaveguideGeometry(width, depth), material)
+        except NoGuidedMode:
+            continue
+        guided += 1
+        assert_group_indices_match_per_mode_lookup(result)
+    assert guided > 150
 
 
 def test_group_index_richardson_step_halving(monkeypatch):

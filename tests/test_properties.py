@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from qpmdesign import (
     periods_from_frequencies,
     synthesize_pattern,
 )
+from qpmdesign.dispersion import IndexIncrementTable
 from qpmdesign.modesolver import TrialField
 from qpmdesign.spdc import ProcessAmplitudes
 
@@ -136,6 +138,16 @@ CALLS = st.one_of(
     st.tuples(st.just("periods_from_frequencies"), K, K),
     st.tuples(st.just("synthesize_pattern"), arg(st.floats(1.0, 50.0))),
     st.tuples(st.just("fourier_component"), K),
+    st.tuples(st.just("IndexIncrementTable"), st.one_of(
+        EDGES, st.none(),
+        st.lists(st.one_of(EDGES, st.none(),
+                           st.lists(arg(st.floats(0.0, 0.009)), min_size=2, max_size=4)
+                           .map(tuple)), max_size=4).map(tuple))),
+    st.tuples(st.just("SellmeierSet"),
+              st.sampled_from(["ordinary", "extraordinary", "t0_c", "t_offset_c",
+                               "wavelength_range_nm", "temperature_range_c"]),
+              st.one_of(EDGES, st.none(),
+                        st.lists(arg(st.floats(-10.0, 10.0)), max_size=8).map(tuple))),
 )
 ENTRY_POINTS = {
     "design_point": lambda result, lp, ls, temperature, length, depth, width: design_point(
@@ -148,6 +160,9 @@ ENTRY_POINTS = {
     "synthesize_pattern": lambda result, length: synthesize_pattern(result.design, length),
     "fourier_component": lambda result, k: fourier_component(
         synthesize_pattern(result.design, 10.0), k),
+    "IndexIncrementTable": lambda result, entries: IndexIncrementTable(entries),
+    "SellmeierSet": lambda result, name, value: dataclasses.replace(
+        result.context.material.sellmeier, **{name: value}),
 }
 
 

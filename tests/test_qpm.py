@@ -27,6 +27,9 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestInteractionSpec:
+    def test_default_length_is_one_centimetre(self):
+        assert InteractionSpec(519.0, 780.0).length_mm == 10.0
+
     def test_idler_derived_and_energy_conserving(self):
         spec = InteractionSpec(519.0, 780.0)
         lhs = 1.0 / spec.lambda_p_nm

@@ -202,8 +202,14 @@ class TestSpectrum:
 
     def test_crossing_outside_window_names_window(self):
         grid = np.linspace(-0.01, 0.01, 21)
-        with pytest.raises(OutOfRange, match="window"):
+        with pytest.raises(OutOfRange, match=re.escape("window [-0.01, 0.01] nm")):
             fwhm(grid, spectrum(1e-3 * grid, 10.0))
+
+    def test_spectrum_that_underflows_everywhere_raises(self):
+        """At a mismatch of 1e200 rad/um sinc^2 underflows to exactly 0 at
+        every sample: UndefinedGamma, not a curve of NaN."""
+        with pytest.raises(UndefinedGamma):
+            spectrum([1e200, -1e200, 1e200], 10.0)
 
 
 def _delta_k_oe(result, grid):
@@ -226,6 +232,16 @@ class TestFilteredGamma:
     def test_narrow_filter_close_to_unfiltered(self, reference_result):
         g = reference_result.filtered_gamma(0.1)
         assert g == pytest.approx(reference_result.gamma, abs=1e-3)
+
+    def test_one_vanishing_process_gives_zero(self):
+        """Only both processes vanishing leaves gamma undefined; one
+        vanishing gives 0."""
+        grid = np.array([779.95, 780.0, 780.05])
+        zero, half = np.zeros(3), np.full(3, 0.5)
+        assert filtered_gamma(grid, amps(zero, half), 0.1) == 0.0
+        assert filtered_gamma(grid, amps(half, zero), 0.1) == 0.0
+        with pytest.raises(UndefinedGamma, match="both filtered amplitudes vanish"):
+            filtered_gamma(grid, amps(zero, zero), 0.1)
 
     def test_filter_as_wide_as_narrow_band_rejected(self, reference_result):
         with pytest.raises(FilterTooWide):
