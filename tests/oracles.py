@@ -4,7 +4,9 @@ The trial field and the index profile in (y, z), adaptive 2-D quadrature of
 the variational functional and of the overlap integral, tensor Gauss
 rules for both, a strict-peak grid
 search and a Nelder-Mead maximization of the closed form that the mode
-solver's existence verdict and Newton refinement are checked against, the
+solver's existence verdict and Newton refinement are checked against, a
+mode solve in which Newton alone decides existence, which the model-cutoff
+pre-test is checked against, the
 zero-mismatch amplitude ratio written directly in the variational
 parameters, a group index that re-solves the mode around its
 wavelength, a design point that solves its five modes one at a time, a
@@ -25,6 +27,7 @@ from scipy import integrate, optimize
 
 from qpmdesign import modesolver, spdc
 from qpmdesign.dispersion import WaveguideGeometry
+from qpmdesign.errors import NoGuidedMode
 from qpmdesign.modesolver import ModalSolution, TrialField, neff_closed_form
 from qpmdesign.pipeline import ModeContext
 from qpmdesign.qpm import (COINCIDENCE_TOL_UM, GratingDesign, PolingPattern,
@@ -230,6 +233,33 @@ def grid_peak(width_w, depth_h, n_b, delta_n, wavelength_nm):
                                     inner.shape)
             return float(grid[i + 1]), float(grid[j + 1])
     return None
+
+
+def newton_only_solve(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
+                      alpha_y0=1.0, alpha_z0=1.0):
+    """``solve_mode`` without the model cutoff: ``_newton`` judges every
+    point, and NoGuidedMode, with ``solve_mode``'s text, names the first
+    point with delta_n <= 0, no accepted maximum or n_eff^2 <= 0, the first
+    of these reasons that holds there. Returns the flat (alpha_y, alpha_z,
+    n_eff) arrays otherwise. ``_newton`` refines each point as it would
+    alone, so one call over all points stands for ``solve_mode``'s
+    chunks."""
+    lam, n_b, dn, ay0, az0 = (np.ravel(x) for x in np.broadcast_arrays(*(
+        np.asarray(x, dtype=float)
+        for x in (wavelength_nm, n_b, delta_n, alpha_y0, alpha_z0))))
+    w, h = geom.width_w, geom.depth_h
+    ay, az, accepted = modesolver._newton(w, h, n_b, dn, lam, ay0, az0)
+    with np.errstate(all="ignore"):
+        neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
+    failed = (dn <= 0.0) | ~accepted | ~(neff2 > 0.0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        reason = ("no index increment" if dn[k] <= 0.0
+                  else "no interior maximum of n_eff^2" if not accepted[k]
+                  else "effective index squared non-positive at the optimum")
+        raise NoGuidedMode(f"{reason} at {float(lam[k])} nm "
+                           f"(w={w} um, h={h} um, dn={float(dn[k])})")
+    return ay, az, np.sqrt(neff2)
 
 
 def reference_mode(ctx, polarization: str, wavelength_nm: float):

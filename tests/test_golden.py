@@ -7,6 +7,9 @@ design point's zero mismatches `delta_k_*` compare within GOLDEN_ATOL_DK
 absolute, and each `*_rel_dev`, a ratio minus 1, within GOLDEN_RTOL of that
 ratio. Strings and integers must match exactly.
 
+`sweep_cutoff.csv` is the CLI's `sweep` over the SWEEP_CUTOFF grid, with
+rows on both sides of mode cutoff; it must match byte for byte.
+
 `spectrum_10x10.json` holds `DesignResult.spectra(8, 401)` and
 `filtered_gamma(0.1)` at d = w = 10 um as the cold-started solver gave them,
 at full precision. The spectrum path re-solves its modes from the design
@@ -37,6 +40,10 @@ SPECTRUM_ATOL = 1e-9
 SPECTRUM_FWHM_RTOL = 1e-9
 CSV_RTOL = 5e-6
 CSV_ATOL = 1e-9
+# depth and width lists (um) of `sweep_cutoff.csv`: 110 geometries, 60 of
+# them past the model cutoff
+SWEEP_CUTOFF = {"depth_um": [3.0, 3.5, 4.0, 4.5, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0, 14.0],
+                "width_um": [3.0, 4.0, 4.5, 5.0, 5.5, 6.0, 8.0, 10.0, 12.0, 14.0]}
 
 
 def assert_matches(got, want, key=""):
@@ -76,6 +83,15 @@ def test_grating_matches_golden(capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert_matches(json.loads(out), json.loads((GOLDEN / "grating.json").read_text()))
+
+
+def test_sweep_across_the_cutoff_matches_golden(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SWEEP_CUTOFF))
+    assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN / "sweep_cutoff.csv").read_text()
 
 
 def test_spectrum_matches_golden(spec, material):
