@@ -3,9 +3,9 @@
 
 A point has an interior maximum exactly when its guiding strength
 V = 8 n_b dn (k0 w)^2 exceeds V_c (``modesolver.model_cutoff``). ``solve_mode``
-refuses points with V <= V_c before any Newton step and leaves the verdict
-to ``_newton`` only within ``FOLD_BAND`` above V_c. This script measures both
-sides of that rule:
+refuses points with V <= V_c before any Newton step and names a point above
+V_c that ``_newton`` rejects as one Newton did not settle. This script
+measures both sides of that rule:
 
 - the sample: 4,000 geometries (numpy seed 7; d, w uniform in [2, 20] um),
   100 points each, every point in one of the bands 500-540, 740-820 and
@@ -17,14 +17,18 @@ sides of that rule:
   V / V_c - 1 in [1e-10, 1e-2], started at (1, 1) and from the modes at
   V / V_c = 1.001, 1.01, 1.1, 1.5, 3, 10 and 100.
 
-It prints the counts the rule needs: accepted points with V <= V_c (must be
-0), rejected points above the band (must be 0) and points inside the band,
-and the largest V / V_c - 1 that Newton rejects (the gap FOLD_BAND covers).
+It prints, per sample, the accepted points with V <= V_c and the rejected
+points with V > V_c, and the largest V / V_c - 1 the fold scan finds Newton
+rejecting. It exits 1 if either sample has an accepted point with V <= V_c
+or the cold sample a rejected point with V > V_c. The warm sample's
+rejections above V_c are reported, not gated: a warm start near its own
+fold can fail far from it.
 
 Run: PYTHONPATH=src python3 scripts/fold_gate.py
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -105,18 +109,17 @@ def fold_scan():
 
 
 def main():
-    band = modesolver.FOLD_BAND
+    failures = 0
     for name, (ratio, accepted) in zip(("cold", "warm"), sample(Material.default())):
+        below, above = (accepted & (ratio <= 1.0)).sum(), (~accepted & (ratio > 1.0)).sum()
         print(f"{name} sample: {ratio.size} points, {accepted.sum()} accepted")
-        print(f"  accepted with V <= V_c: {(accepted & (ratio <= 1.0)).sum()}")
-        print(f"  rejected with V > V_c: {(~accepted & (ratio > 1.0)).sum()}")
-        print(f"  rejected with V > (1 + FOLD_BAND) V_c: "
-              f"{(~accepted & (ratio > 1.0 + band)).sum()}")
-        print(f"  inside the band: {((ratio > 1.0) & (ratio <= 1.0 + band)).sum()}")
+        print(f"  accepted with V <= V_c: {below}")
+        print(f"  rejected with V > V_c: {above}")
         print(f"  smallest accepted V / V_c - 1: {(ratio[accepted] - 1.0).min():.3g}")
-    print(f"fold scan: largest rejected V / V_c - 1 = {fold_scan():.3g} "
-          f"(FOLD_BAND = {band:g})")
+        failures += below + (above if name == "cold" else 0)
+    print(f"fold scan: largest rejected V / V_c - 1 = {fold_scan():.3g}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,13 +18,12 @@ each point at the start alphas it is given, by default alpha_y = alpha_z =
 1, and runs a safeguarded Newton iteration (``_newton``) on the analytic
 stationarity equations of each flat chunk of ``NEWTON_CHUNK`` points.
 Off-design re-solves start from the solved design-point mode. Existence is
-decided before the iteration: the closed form has an interior maximum
-exactly when the guiding strength V = 8 n_b dn (k0 w)^2 exceeds the model
-cutoff V_c of the channel's aspect ratio (``model_cutoff``), a number in
-closed form. A chunk with a point at or below V_c is refused without a
-Newton step. Within ``FOLD_BAND`` above V_c, where det H -> 0 and Newton
-converges slowly, the iteration keeps the verdict: a point has a mode when
-it settles on a concave interior point from its start.
+decided once per batch, before the iteration: the closed form has an
+interior maximum exactly when the guiding strength V = 8 n_b dn (k0 w)^2
+exceeds the model cutoff V_c of the channel's aspect ratio
+(``model_cutoff``), a number in closed form. A batch with a point at or
+below V_c is refused at the first such point without a Newton step; above
+V_c a point Newton does not settle on the maximum is refused as such.
 
 Alphas from callers (a ``TrialField`` they build, the start alphas) pass one
 check, ``_positive``; the fields of solved modes, whose alphas ``_newton``
@@ -33,7 +32,6 @@ accepted, are built by ``TrialField.from_solver`` without it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,13 +42,12 @@ from .errors import NoGuidedMode
 
 # Newton stops once a step is below NEWTON_TOL (relative to alpha) or after
 # NEWTON_STEPS. A settled point with an alpha at or below ALPHA_CUT is on the
-# alpha -> 0 boundary, not an interior maximum. A point past the model cutoff
-# never settles, but ``solve_mode`` refuses it before any step, so the limit
-# bounds the cost of the points Newton is left to judge: those within
-# FOLD_BAND above the cutoff and those it fails to settle. Steps to settle
-# from the seed (1, 1) over 400,000 random
-# points (numpy seed 7; d, w in [2, 20] um; 500-540, 740-820 and 1450-1700
-# nm; both polarizations; 369,437 accepted), as steps: points:
+# alpha -> 0 boundary, not an interior maximum. ``solve_mode`` refuses a
+# point past the model cutoff before any step, so the limit bounds the cost
+# of a point above it that Newton fails to settle. Steps to settle from the
+# seed (1, 1) over 400,000 random points (numpy seed 7; d, w in [2, 20] um;
+# 500-540, 740-820 and 1450-1700 nm; both polarizations; 369,437 accepted),
+# as steps: points:
 #   3-4: 927, 5: 28,252, 6: 97,220, 7: 96,870, 8: 127,081, 9: 19,023,
 #   10: 50, 11: 11, 12: 1, 13: 2.
 # Started warm, from the mode at 780 nm for 740-820 nm and at 1551 nm for
@@ -64,16 +61,6 @@ from .errors import NoGuidedMode
 NEWTON_STEPS = 16
 NEWTON_TOL = 1e-13
 ALPHA_CUT = 1e-8
-# Relative width of the band above the model cutoff V_c where ``_newton``
-# keeps the verdict. Near the fold det H -> 0 and the iteration converges
-# slowly: from (1, 1), and warm from the modes at 1.001-100 V_c, it rejects
-# points scattered among accepted ones up to V = (1 + 3.5e-6) V_c, over 81
-# aspect ratios h/w in [0.1, 10]. On ``scripts/fold_gate.py``'s draw of the
-# 400,000-point sample above (369,957 accepted from (1, 1)) no point falls
-# in the band, and Newton accepts every point above V_c and none at or
-# below it. Started warm, it rejects one point above V_c, at 1.14 V_c: its
-# start, the mode at 1551 nm, sits 0.3 % above its own fold, 70 nm away.
-FOLD_BAND = 1e-5
 # Points ``solve_mode`` refines in one ``_newton`` call. Newton's working
 # arrays grow with the points refined together, and chunks bound them: the
 # 4 x 20,001-point solve of a 20,001-sample spectrum traces 6.2 MiB at its
@@ -260,7 +247,6 @@ def _ascent_direction(grad_y, grad_z, h_yy, h_zz, h_yz):
     return step_y, step_z, det
 
 
-@functools.lru_cache(maxsize=256)
 def model_cutoff(width_w: float, depth_h: float) -> tuple[float, float, float]:
     """(V_c, alpha_y, alpha_z): the model cutoff of a w x h channel and the
     alphas at which its interior maximum vanishes.
@@ -275,8 +261,7 @@ def model_cutoff(width_w: float, depth_h: float) -> tuple[float, float, float]:
     a_z^2 = (2u + 1) / (2 (8u + 1)) and V_c = 16 sqrt(u) (5u + 1)^(3/2). A
     point with V <= V_c has no interior maximum. V_c is the cutoff of the
     trial family, not of the waveguide, whose true modes may reach past it.
-    Finite over all of GEOMETRY_RANGE_UM, q in [3e-8, 3e8]; cached per
-    geometry.
+    Finite over all of GEOMETRY_RANGE_UM, q in [3e-8, 3e8].
     """
     q = 3.0 * (width_w / depth_h) ** 2
     # F(u) = 3u (8u + 1)^2 - q (5u + 1) is convex for u > 0 with F(0) < 0, so
@@ -306,17 +291,11 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     are a warm start for wavelengths near its own. A start alpha that is
     not positive (NaN included) raises ValueError before any solve.
 
-    Raises NoGuidedMode where no interior maximum exists: delta_n <= 0,
-    the point lies at or below the model cutoff (``model_cutoff``),
-    ``_newton`` does not accept the point (it does not settle on a concave
-    interior point from its start), or n_eff^2 is not positive there. Each
-    chunk is checked against the cutoff before any Newton step. A chunk
-    that holds a point at or below V_c is refused at the first such point;
-    ``_newton`` runs on the points before it only if one of them lies
-    within ``FOLD_BAND`` above V_c, where the iteration keeps the verdict,
-    and a failure among them is named instead. A chunk with no point in or
-    below the band is refined and checked as a whole. The message names
-    the failing point and the first of these reasons that holds there.
+    Raises NoGuidedMode at the first point past the model cutoff
+    (``model_cutoff``): delta_n <= 0 or V <= V_c, checked over the whole
+    batch before any Newton step. Else it raises at the first point
+    ``_newton`` does not accept (it does not settle on a concave interior
+    point from its start) or whose n_eff^2 is not positive.
     An interior maximum that fails to exceed the substrate index is
     returned flagged ``guided=False``: such a mode is only quasi-guided,
     but near-cutoff geometries still support the nonlinear interaction
@@ -330,27 +309,28 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
         raise ValueError("start alphas must be positive")
     w, h = geom.width_w, geom.depth_h
     # V = 8 n_b dn (k0 w)^2 with k0 = 2000 pi / lambda (nm), so V > V_c
-    # exactly when n_b dn / lambda^2 > V_c / (8 (2000 pi w)^2), up to
-    # rounding far below FOLD_BAND
-    v_unit = 8.0 * (2e3 * math.pi * w) ** 2
-    v_c = model_cutoff(w, h)[0]
-    cut, clear = v_c / v_unit, v_c * (1.0 + FOLD_BAND) / v_unit
+    # exactly when n_b dn / lambda^2 > V_c / (8 (2000 pi w)^2), up to rounding
+    cut = model_cutoff(w, h)[0] / (8.0 * (2e3 * math.pi * w) ** 2)
+    past = ~(n_b * dn / (lam * lam) > cut)  # dn <= 0 (n_b > 0) and NaN are past too
+    if past.any():
+        k = int(np.argmax(past))
+        raise _no_mode("no index increment" if dn[k] <= 0.0
+                       else "no interior maximum of n_eff^2", lam[k], dn[k], w, h)
 
     ay, az, n_eff = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
     for start in range(0, lam.size, NEWTON_CHUNK):
         part = slice(start, start + NEWTON_CHUNK)
-        chunk = lam[part], n_b[part], dn[part], ay0[part], az0[part]
-        lam_c, n_b_c, dn_c = chunk[:3]
-        strength = n_b_c * dn_c / (lam_c * lam_c)  # V / v_unit; NaN counts as past
-        if not strength.min() > clear:
-            past = ~(strength > cut)
-            if past.any():
-                k = int(np.argmax(past))
-                if not (strength[:k] > clear).all():
-                    _refine(w, h, *(x[:k] for x in chunk))
-                raise _no_mode("no index increment" if dn_c[k] <= 0.0
-                               else "no interior maximum of n_eff^2", lam_c[k], dn_c[k], w, h)
-        ay[part], az[part], n_eff[part] = _refine(w, h, *chunk)
+        lam_c, n_b_c, dn_c = lam[part], n_b[part], dn[part]
+        ay_c, az_c, accepted = _newton(w, h, n_b_c, dn_c, lam_c, ay0[part], az0[part])
+        with np.errstate(all="ignore"):  # rejected points may hold non-finite alphas
+            neff2 = neff_closed_form(ay_c, az_c, w, h, n_b_c, dn_c, lam_c)
+        failed = ~accepted | ~(neff2 > 0.0)
+        if failed.any():
+            k = int(np.argmax(failed))
+            raise _no_mode("Newton did not settle on the interior maximum" if not accepted[k]
+                           else "effective index squared non-positive at the optimum",
+                           lam_c[k], dn_c[k], w, h)
+        ay[part], az[part], n_eff[part] = ay_c, az_c, np.sqrt(neff2)
 
     def out(x):
         return x.reshape(shape)[()]
@@ -364,23 +344,6 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
         field=TrialField.from_solver(out(ay), out(az), w, h),
         guided=out(n_eff > n_b + GUIDED_MARGIN),
     )
-
-
-def _refine(w, h, lam, n_b, dn, alpha_y0, alpha_z0):
-    """(alpha_y, alpha_z, n_eff) of one flat chunk from ``_newton``, or
-    NoGuidedMode at its first point with delta_n <= 0, no accepted maximum
-    or a non-positive n_eff^2 there."""
-    ay, az, accepted = _newton(w, h, n_b, dn, lam, alpha_y0, alpha_z0)
-    with np.errstate(all="ignore"):  # rejected points may hold non-finite alphas
-        neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
-    failed = (dn <= 0.0) | ~accepted | ~(neff2 > 0.0)
-    if failed.any():
-        k = int(np.argmax(failed))
-        reason = ("no index increment" if dn[k] <= 0.0
-                  else "no interior maximum of n_eff^2" if not accepted[k]
-                  else "effective index squared non-positive at the optimum")
-        raise _no_mode(reason, lam[k], dn[k], w, h)
-    return ay, az, np.sqrt(neff2)
 
 
 def _no_mode(reason, lam, dn, w, h) -> NoGuidedMode:

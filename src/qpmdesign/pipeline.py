@@ -78,8 +78,9 @@ class ModeContext:
         solution has its request's polarization and that shape. ``starts``,
         one TrialField per request, starts each row's points at that
         field's alphas, which broadcast over the row; without it every
-        point starts at (1, 1). NoGuidedMode names the first failing point
-        of the requests taken in order.
+        point starts at (1, 1). With the requests taken in order,
+        NoGuidedMode names the first point past the model cutoff, else the
+        first point Newton rejects.
         """
         pols = [normalize_polarization(pol) for pol, _ in requests]
         lam = np.stack([np.asarray(wavelength_nm, dtype=float)

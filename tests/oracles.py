@@ -238,12 +238,12 @@ def grid_peak(width_w, depth_h, n_b, delta_n, wavelength_nm):
 def newton_only_solve(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
                       alpha_y0=1.0, alpha_z0=1.0):
     """``solve_mode`` without the model cutoff: ``_newton`` judges every
-    point, and NoGuidedMode, with ``solve_mode``'s text, names the first
-    point with delta_n <= 0, no accepted maximum or n_eff^2 <= 0, the first
-    of these reasons that holds there. Returns the flat (alpha_y, alpha_z,
-    n_eff) arrays otherwise. ``_newton`` refines each point as it would
-    alone, so one call over all points stands for ``solve_mode``'s
-    chunks."""
+    point, and NoGuidedMode, with ``solve_mode``'s text for its Newton
+    verdicts, names the first point with delta_n <= 0, no accepted maximum
+    or n_eff^2 <= 0, the first of these reasons that holds there. Returns
+    the flat (alpha_y, alpha_z, n_eff) arrays otherwise. ``_newton`` refines
+    each point as it would alone, so one call over all points stands for
+    ``solve_mode``'s chunks."""
     lam, n_b, dn, ay0, az0 = (np.ravel(x) for x in np.broadcast_arrays(*(
         np.asarray(x, dtype=float)
         for x in (wavelength_nm, n_b, delta_n, alpha_y0, alpha_z0))))
@@ -255,7 +255,7 @@ def newton_only_solve(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     if failed.any():
         k = int(np.argmax(failed))
         reason = ("no index increment" if dn[k] <= 0.0
-                  else "no interior maximum of n_eff^2" if not accepted[k]
+                  else "Newton did not settle on the interior maximum" if not accepted[k]
                   else "effective index squared non-positive at the optimum")
         raise NoGuidedMode(f"{reason} at {float(lam[k])} nm "
                            f"(w={w} um, h={h} um, dn={float(dn[k])})")

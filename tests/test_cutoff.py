@@ -3,8 +3,8 @@
 ``modesolver.model_cutoff`` against the folds recorded by bisection and
 against the stationarity and det H = 0 conditions it solves; ``_newton``
 never accepting a point at or below V_c; and ``solve_mode``, which refuses
-such points before any Newton step, against ``newton_only_solve``, in which
-Newton alone decides existence.
+a batch with such a point before any Newton step and otherwise matches
+``newton_only_solve``, in which Newton alone decides existence.
 """
 
 import math
@@ -13,13 +13,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qpmdesign import NoGuidedMode, WaveguideGeometry, modesolver, solve_mode
 from qpmdesign.dispersion import GEOMETRY_RANGE_UM
-from qpmdesign.modesolver import FOLD_BAND, model_cutoff
-from qpmdesign.pipeline import design_point
+from qpmdesign.modesolver import model_cutoff
+from qpmdesign.pipeline import Material, ModeContext, design_point
 
 from oracles import newton_only_solve
 
@@ -45,11 +45,10 @@ def test_model_cutoff_of_the_square_channel():
 ])
 def test_model_cutoff_below_the_bisected_folds(aspect, v_c, bisected):
     """V_c at three aspect ratios h/w, and the strength from which
-    ``_newton`` accepts, found by bisection, just above it, inside the
-    band where Newton keeps the verdict."""
+    ``_newton`` accepts, found by bisection, just above it."""
     got = model_cutoff(6.0, 6.0 * aspect)[0]
     assert got == pytest.approx(v_c, rel=0.0, abs=5e-8)
-    assert 1.3e-7 < bisected / got - 1.0 < 1.8e-7 < FOLD_BAND
+    assert 1.3e-7 < bisected / got - 1.0 < 1.8e-7
 
 
 @pytest.mark.parametrize("q", np.logspace(math.log10(3e-8), math.log10(3e8), 33))
@@ -94,6 +93,15 @@ def test_newton_never_accepts_at_or_below_the_cutoff(aspect):
 
 
 POINT_KINDS = ("below", "at", "band", "above", "no increment")
+PAST_KINDS = ("below", "at", "no increment")
+# V / V_c of each kind, placed by t in [0, 1]. "band" lies within 1e-5 above
+# V_c, where det H -> 0 and Newton converges slowly. The kinds at and past
+# the cutoff stay 1e-12 below it and the others 1e-12 above: at V = V_c the
+# V formed here and the one ``solve_mode`` forms round to either side.
+RATIOS = {"below": lambda t: (1.0 - 1e-12) * (0.2 + 0.8 * (1.0 - t)),
+          "at": lambda t: 1.0 - 1e-12,
+          "band": lambda t: 1.0 + 1e-12 + 1e-5 * t,
+          "above": lambda t: 1.0001 * 200.0**t}
 
 
 def batch_inputs(material, width, depth, points):
@@ -103,38 +111,60 @@ def batch_inputs(material, width, depth, points):
     n_b, dn, lam = [], [], []
     for kind, t, wavelength, pol in points:
         nb = float(material.sellmeier.index(pol, wavelength, 25.0))
-        ratio = {"below": 0.2 + 0.8 * (1.0 - t), "at": 1.0, "band": 1.0 + FOLD_BAND * t,
-                 "above": (1.0 + 10.0 * FOLD_BAND) * 200.0**t}.get(kind)
         n_b.append(nb)
-        dn.append(-1e-3 * t if ratio is None
-                  else ratio * v_c / strength(width, nb, 1.0, wavelength))
+        dn.append(-1e-3 * t if kind == "no increment"
+                  else RATIOS[kind](t) * v_c / strength(width, nb, 1.0, wavelength))
         lam.append(wavelength)
     return np.array(n_b), np.array(dn), np.array(lam)
 
 
-@settings(max_examples=200, deadline=None)
-@given(depth=st.floats(2.0, 20.0), width=st.floats(2.0, 20.0),
-       points=st.lists(st.tuples(st.sampled_from(POINT_KINDS), st.floats(0.0, 1.0),
-                                 st.floats(500.0, 1700.0),
-                                 st.sampled_from(["ordinary", "extraordinary"])),
-                       min_size=1, max_size=12),
-       chunk=st.sampled_from([2, 3, modesolver.NEWTON_CHUNK]))
-# a band point before the first point past the cutoff: Newton runs on the
-# points before it and keeps the verdict
-@example(depth=6.0, width=6.0, points=[("above", 0.5, 780.0, "ordinary"),
-                                       ("band", 0.5, 1551.0, "extraordinary"),
-                                       ("below", 0.5, 1551.0, "ordinary")],
-         chunk=modesolver.NEWTON_CHUNK)
-# delta_n = 0 is refused as "no index increment", in the first chunk of two
-@example(depth=6.0, width=6.0, points=[("above", 0.3, 780.0, "ordinary"),
-                                       ("no increment", 0.0, 1551.0, "ordinary"),
-                                       ("below", 0.5, 1600.0, "extraordinary")],
-         chunk=2)
+def batches(test):
+    """Batches of points of every kind in any order, with the chunk size
+    ``solve_mode`` refines them in."""
+    test = given(
+        depth=st.floats(2.0, 20.0), width=st.floats(2.0, 20.0),
+        points=st.lists(st.tuples(st.sampled_from(POINT_KINDS), st.floats(0.0, 1.0),
+                                  st.floats(500.0, 1700.0),
+                                  st.sampled_from(["ordinary", "extraordinary"])),
+                        min_size=1, max_size=12),
+        chunk=st.sampled_from([2, 3, modesolver.NEWTON_CHUNK]))(test)
+    for points, chunk in (
+            # a band point before the first point past the cutoff
+            ([("above", 0.5, 780.0, "ordinary"), ("band", 0.5, 1551.0, "extraordinary"),
+              ("below", 0.5, 1551.0, "ordinary")], modesolver.NEWTON_CHUNK),
+            # delta_n = 0 is refused as "no index increment", in the first
+            # chunk of two
+            ([("above", 0.3, 780.0, "ordinary"), ("no increment", 0.0, 1551.0, "ordinary"),
+              ("below", 0.5, 1600.0, "extraordinary")], 2),
+            # the only point past the cutoff is in the second chunk
+            ([("above", 0.3, 780.0, "ordinary"), ("band", 0.5, 1551.0, "extraordinary"),
+              ("below", 0.5, 1600.0, "ordinary")], 2)):
+        test = example(depth=6.0, width=6.0, points=points, chunk=chunk)(test)
+    return settings(max_examples=200, deadline=None)(test)
+
+
+def counting_steps(monkeypatch):
+    """A one-element list that counts ``_ascent_direction`` calls, one per
+    Newton step of a chunk."""
+    steps = [0]
+    ascent_direction = modesolver._ascent_direction
+
+    def counted(*args):
+        steps[0] += 1
+        return ascent_direction(*args)
+
+    monkeypatch.setattr(modesolver, "_ascent_direction", counted)
+    return steps
+
+
+@batches
 def test_cutoff_pretest_matches_newton_alone(material, depth, width, points, chunk):
-    """In any order of points below, at, within FOLD_BAND above and well
-    above the model cutoff, and points with delta_n <= 0, ``solve_mode``
-    raises the NoGuidedMode text of ``newton_only_solve`` or returns its
-    modes bit for bit, whatever the chunk size."""
+    """With the points past the cutoff left out, the rest, within 1e-5
+    above and well above V_c in any order, give the NoGuidedMode text of
+    ``newton_only_solve`` or its modes bit for bit, whatever the chunk
+    size."""
+    points = [point for point in points if point[0] not in PAST_KINDS]
+    assume(points)
     geom = WaveguideGeometry(width, depth)
     n_b, dn, lam = batch_inputs(material, width, depth, points)
     with mock.patch.object(modesolver, "NEWTON_CHUNK", chunk):
@@ -151,18 +181,42 @@ def test_cutoff_pretest_matches_newton_alone(material, depth, width, points, chu
     np.testing.assert_array_equal(got.n_eff, want[2])
 
 
+@batches
+def test_first_point_past_the_cutoff_is_named_before_any_newton_step(
+        material, depth, width, points, chunk):
+    """A batch with points at or below V_c or with delta_n <= 0 raises
+    NoGuidedMode for the first of them, in any chunk, without a Newton
+    step."""
+    kinds = [point[0] for point in points]
+    assume(any(kind in PAST_KINDS for kind in kinds))
+    k = next(i for i, kind in enumerate(kinds) if kind in PAST_KINDS)
+    geom = WaveguideGeometry(width, depth)
+    n_b, dn, lam = batch_inputs(material, width, depth, points)
+    reason = "no index increment" if kinds[k] == "no increment" else "no interior maximum of n_eff^2"
+    with pytest.MonkeyPatch.context() as patch:
+        steps = counting_steps(patch)
+        patch.setattr(modesolver, "NEWTON_CHUNK", chunk)
+        with pytest.raises(NoGuidedMode) as got:
+            solve_mode(geom, n_b, dn, lam)
+    assert str(got.value) == (f"{reason} at {lam[k]} nm (w={width} um, h={depth} um, "
+                              f"dn={dn[k]})")
+    assert steps[0] == 0
+
+
+def test_newton_rejection_above_the_cutoff_is_named_as_such():
+    """At h/w = 1e4, Newton from (1, 1) fails to settle on the maximum the
+    closed form has at V = 64.9 V_c: NoGuidedMode says so."""
+    ctx = ModeContext(Material.default(), WaveguideGeometry(0.1, 1000.0))
+    with pytest.raises(NoGuidedMode, match="^Newton did not settle on the interior maximum "
+                                           "at 519.0 nm"):
+        ctx.solve("ordinary", 519.0)
+
+
 def test_cutoff_design_point_takes_no_newton_step(spec, material, monkeypatch):
     """A design point whose idler is past the model cutoff is refused
     before any Newton step; a guided one takes the steps it took before
     the pre-test."""
-    steps = [0]
-    ascent_direction = modesolver._ascent_direction
-
-    def counted(*args):
-        steps[0] += 1
-        return ascent_direction(*args)
-
-    monkeypatch.setattr(modesolver, "_ascent_direction", counted)
+    steps = counting_steps(monkeypatch)
     with pytest.raises(NoGuidedMode, match="no interior maximum of n_eff.2 at 1551.03"):
         design_point(spec, WaveguideGeometry(4.5, 4.0), material)
     assert steps[0] == 0
