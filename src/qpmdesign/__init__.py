@@ -12,6 +12,7 @@ from .errors import (
     DegenerateGroupIndices,
     DegenerateModulation,
     FilterTooWide,
+    Infeasible,
     NoGuidedMode,
     NonPositiveFrequency,
     OutOfRange,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: design | sweep | spectrum | grating. Exit codes: 0 success,
-1 configuration error, 2 physics infeasibility (no guided mode, degenerate
-grating). CSV output uses 6 significant digits, except the poling pattern,
-whose positions round-trip; JSON carries full precision.
+2 for an ``errors.Infeasible`` design, 1 for any other toolkit error (an
+unwritable ``--out`` too). CSV output uses 6 significant digits, except the
+poling pattern, whose positions round-trip; JSON carries full precision.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DesignConfig, load_config
-from .errors import (
-    ConfigError,
-    DegenerateGroupIndices,
-    DegenerateModulation,
-    NoGuidedMode,
-    NonPositiveFrequency,
-    QpmDesignError,
-)
+from .errors import ConfigError, Infeasible, QpmDesignError
 from .pipeline import Material, design_point
 from .qpm import export_pattern_csv, fourier_component, synthesize_pattern
 
@@ -40,9 +33,6 @@ MIN_SAMPLES_ABOVE_HALF = 5
 # size; peak memory grows by about 0.32 KB per sample (30 MiB at 10^5). A
 # larger count is refused before any solve.
 MAX_SPECTRUM_SAMPLES = 10**5
-
-PHYSICS_ERRORS = (NoGuidedMode, NonPositiveFrequency, DegenerateModulation,
-                  DegenerateGroupIndices)
 
 
 def _fmt(x: float) -> str:
@@ -97,14 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_dir: str | None, filename: str) -> None:
+def _emit(text: str, out_dir: str | None, filename: str, before=()) -> None:
+    """``text`` to stdout, or to ``filename`` in ``out_dir`` after the
+    (filename, write(path)) pairs of ``before``; an OSError is a ConfigError."""
     if out_dir is None:
         sys.stdout.write(text)
-    else:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text)
-        print(f"wrote {path / filename}")
+        return
+    out = Path(out_dir)
+    writers = [*before, (filename, lambda path: path.write_text(text))]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in writers:
+            write(out / name)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
+    print(f"wrote {' and '.join(str(out / name) for name, _ in writers)}")
 
 
 def cmd_design(cfg: DesignConfig, material: Material, args) -> int:
@@ -128,7 +125,7 @@ def cmd_sweep(cfg: DesignConfig, material: Material, args) -> int:
         prefix = f"{_fmt(geom.depth_h)},{_fmt(geom.width_w)}"
         try:
             result = design_point(spec, geom, material)
-        except PHYSICS_ERRORS as exc:
+        except Infeasible as exc:
             lines.append(f"{prefix},,,,{type(exc).__name__}")
             continue
         lines.append(
@@ -198,15 +195,8 @@ def cmd_grating(cfg: DesignConfig, material: Material, args) -> int:
         "abs_c_K2_rel_dev": abs(c2) / ideal - 1.0,
         "n_domain_boundaries": len(pattern.domain_boundaries),
     }
-    if args.out is None:
-        sys.stdout.write(json.dumps(check, indent=2, sort_keys=True) + "\n")
-    else:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        export_pattern_csv(pattern, out / "poling_pattern.csv")
-        (out / "fourier_check.json").write_text(
-            json.dumps(check, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out / 'poling_pattern.csv'} and {out / 'fourier_check.json'}")
+    _emit(json.dumps(check, indent=2, sort_keys=True) + "\n", args.out, "fourier_check.json",
+          [("poling_pattern.csv", lambda path: export_pattern_csv(pattern, path))])
     return EXIT_OK
 
 
@@ -225,7 +215,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PHYSICS_ERRORS as exc:
+    except Infeasible as exc:
         print(f"infeasible design: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except QpmDesignError as exc:

@@ -56,11 +56,10 @@ class DesignConfig:
 
     def material(self) -> Material:
         """The Sellmeier fit, checked against the config's temperature, and
-        the increment table."""
+        the increment table, which checks ``index_increments`` itself."""
         sellmeier = load_sellmeier_sets(self.sellmeier_file)
         sellmeier.check_temperature(self.temperature_c)
-        entries = tuple(tuple(float(v) for v in row) for row in self.index_increments)
-        return Material(sellmeier, IndexIncrementTable(entries))
+        return Material(sellmeier, IndexIncrementTable(self.index_increments))
 
     def single_geometry(self) -> WaveguideGeometry:
         if self.is_sweep:
@@ -83,10 +82,10 @@ class DesignConfig:
                 for d, w in pairs]
 
     def validate(self):
-        """Check the geometry and material fields' types, the interaction
-        (``InteractionSpec`` checks its numbers) and every geometry. The
-        material (Sellmeier file, increment table) is checked by building it
-        with ``material()``."""
+        """Check the geometry fields' and ``sellmeier_file``'s types, the
+        interaction (``InteractionSpec`` checks its numbers) and every
+        geometry. The material (Sellmeier file, increment table) checks
+        itself when ``material()`` builds it."""
         for name in ("width_um", "depth_um"):
             value = getattr(self, name)
             for item in value if isinstance(value, list) else [value]:
@@ -94,14 +93,6 @@ class DesignConfig:
         if self.sellmeier_file is not None and not isinstance(self.sellmeier_file, str):
             raise ConfigError(f"sellmeier_file must be a path string, got "
                               f"{self.sellmeier_file!r}")
-        rows = self.index_increments
-        if not isinstance(rows, list) or not all(
-                isinstance(row, list) and len(row) == 3 for row in rows):
-            raise ConfigError("index_increments must be a list of "
-                              "[wavelength_nm, dn_o, dn_e] rows")
-        for row in rows:
-            for item in row:
-                check_number("index_increments", item)
         self.interaction()
         self.sweep_geometries()  # WaveguideGeometry validates each geometry
 

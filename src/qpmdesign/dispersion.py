@@ -173,6 +173,7 @@ DEFAULT_INCREMENTS = (
 class IndexIncrementTable:
     """Surface index increments Delta-n vs wavelength for both polarizations.
 
+    The checked (wavelength_nm, dn_o, dn_e) rows are kept as float tuples.
     Outside the tabulated span the end values are held: the design idler
     (1551 nm) sits 1 nm past the last tabulated point and spectra scan tens
     of nm around it.
@@ -195,9 +196,10 @@ class IndexIncrementTable:
                 raise ConfigError(
                     f"index increments at {lam} nm must lie in [0, 0.01), got {dno}, {dne}"
                 )
-        lams = [e[0] for e in self.entries]
-        if any(b <= a for a, b in zip(lams, lams[1:])):
+        if any(b[0] <= a[0] for a, b in zip(self.entries, self.entries[1:])):
             raise ConfigError("increment table wavelengths must be strictly increasing")
+        object.__setattr__(self, "entries",
+                           tuple(tuple(float(v) for v in row) for row in self.entries))
 
     def increment(self, polarization: str, wavelength_nm):
         """Increment by linear interpolation (end values held outside the

@@ -11,21 +11,25 @@ class OutOfRange(QpmDesignError):
     """Requested wavelength/temperature outside a model's validated domain."""
 
 
-class NoGuidedMode(QpmDesignError):
+class Infeasible(QpmDesignError):
+    """A physically infeasible design: the CLI exits 2 (other errors 1)."""
+
+
+class NoGuidedMode(Infeasible):
     """The waveguide does not support a fundamental mode at the requested
     wavelength (no interior maximum of the effective-index functional)."""
 
 
-class NonPositiveFrequency(QpmDesignError):
+class NonPositiveFrequency(Infeasible):
     """An index combination yields a non-positive QPM spatial frequency."""
 
 
-class DegenerateModulation(QpmDesignError):
+class DegenerateModulation(Infeasible):
     """K1 = K2: the modulation period diverges, a single-period grating
     suffices and the dual-period construction is undefined."""
 
 
-class DegenerateGroupIndices(QpmDesignError):
+class DegenerateGroupIndices(Infeasible):
     """Group-index difference too small; bandwidth formally unbounded."""
 
 

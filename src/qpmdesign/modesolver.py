@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import WaveguideGeometry, normalize_polarization
+from .dispersion import WaveguideGeometry
 from .errors import NoGuidedMode
 
 # Newton stops once a step is below NEWTON_TOL (relative to alpha) or after
@@ -350,18 +350,6 @@ def _no_mode(reason, lam, dn, w, h) -> NoGuidedMode:
     return NoGuidedMode(f"{reason} at {float(lam)} nm (w={w} um, h={h} um, dn={float(dn)})")
 
 
-def indices_by_row(indices, polarizations, wavelength_nm):
-    """(n_b, delta_n) arrays shaped like ``wavelength_nm``, each row at its
-    entry of ``polarizations``, from one ``indices(polarization,
-    wavelengths) -> (n_b, delta_n)`` call per distinct polarization."""
-    lam = np.asarray(wavelength_nm, dtype=float)
-    n_b, dn = np.empty_like(lam), np.empty_like(lam)
-    for pol in dict.fromkeys(polarizations):
-        rows = [i for i, row_pol in enumerate(polarizations) if row_pol == pol]
-        n_b[rows], dn[rows] = indices(pol, lam[rows])
-    return n_b, dn
-
-
 def group_index(modes, indices) -> tuple[float, ...]:
     """Group effective index N = n_eff - lambda dn_eff/dlambda of each of
     ``modes``, in order.
@@ -372,16 +360,15 @@ def group_index(modes, indices) -> tuple[float, ...]:
     of the closed form at those alphas, with the material indices
     ``indices(polarization, wavelengths) -> (n_b, delta_n)`` at the two
     wavelengths, so material dispersion of both n_b and delta_n is included.
-    The stencils of all modes of one polarization take one ``indices``
-    call. The closed form is evaluated per mode, on its scalar alphas: on
-    arrays of alphas numpy's power can round differently.
+    Each mode looks up its two stencil wavelengths in one ``indices`` call
+    and evaluates the closed form on its own scalar alphas: on arrays of
+    alphas numpy's power can round differently.
     """
     step = GROUP_INDEX_STEP_NM
-    lams = np.array([[m.wavelength_nm - step, m.wavelength_nm + step] for m in modes])
-    n_b, dn = indices_by_row(indices, [normalize_polarization(m.polarization) for m in modes],
-                             lams)
     n_group = []
-    for mode, lam_pair, n_b_pair, dn_pair in zip(modes, lams, n_b, dn):
+    for mode in modes:
+        lam_pair = np.array([mode.wavelength_nm - step, mode.wavelength_nm + step])
+        n_b_pair, dn_pair = indices(mode.polarization, lam_pair)
         f = mode.field
         n_minus, n_plus = np.sqrt(neff_closed_form(f.alpha_y, f.alpha_z, f.width_w,
                                                    f.depth_h, n_b_pair, dn_pair, lam_pair))

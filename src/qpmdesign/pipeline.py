@@ -1,13 +1,14 @@
 """End-to-end design pipeline: dispersion -> mode solves -> grating -> report.
 
-``ModeContext`` bundles the material model with one geometry/temperature
-and solves modes for several (polarization, wavelengths) requests in one
-``solve_mode`` call. ``design_point`` runs the full chain for a single
-design, solving its five modes in one call, and returns a ``DesignResult``
-that evaluates off-design amplitudes, spectra and filtered entanglement
-degrees, each with one call for all four signal and idler modes at every
-sample, started from the design-point modes. The one cache is below this
-module: ``load_sellmeier_sets`` parses the packaged fit once per process.
+``ModeContext`` bundles the material model with one geometry/temperature and
+solves modes for several (polarization, wavelengths) requests in one
+``solve_mode`` call, the one caller that batches lookups by polarization.
+``design_point`` runs the full chain for a single design, solving its five
+modes in one call, and returns a ``DesignResult`` that evaluates off-design
+amplitudes, spectra and filtered entanglement degrees, each with one call
+for all four signal and idler modes at every sample, started from the
+design-point modes. The one cache is below this module:
+``load_sellmeier_sets`` parses the packaged fit once per process.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .dispersion import (
     normalize_polarization,
 )
 from .errors import ConfigError, FilterTooWide, is_number
-from .modesolver import ModalSolution, TrialField, group_index, indices_by_row, solve_mode
+from .modesolver import ModalSolution, TrialField, group_index, solve_mode
 from .qpm import GratingDesign, InteractionSpec, periods_from_frequencies, required_frequencies
 from .spdc import ProcessAmplitudes
 
@@ -74,7 +75,8 @@ class ModeContext:
         request order, all from one ``solve_mode`` call.
 
         The requests' wavelengths must share one shape (ValueError before
-        any solve otherwise); they are the rows of the stacked solve. Each
+        any solve otherwise); they are the rows of the stacked solve, and
+        the rows of one polarization share one ``indices`` call. Each
         solution has its request's polarization and that shape. ``starts``,
         one TrialField per request, starts each row's points at that
         field's alphas, which broadcast over the row; without it every
@@ -85,7 +87,10 @@ class ModeContext:
         pols = [normalize_polarization(pol) for pol, _ in requests]
         lam = np.stack([np.asarray(wavelength_nm, dtype=float)
                         for _, wavelength_nm in requests])
-        n_b, dn = indices_by_row(self.indices, pols, lam)
+        n_b, dn = np.empty_like(lam), np.empty_like(lam)
+        for pol in dict.fromkeys(pols):
+            rows = [i for i, row_pol in enumerate(pols) if row_pol == pol]
+            n_b[rows], dn[rows] = self.indices(pol, lam[rows])
         alpha_y0 = alpha_z0 = 1.0
         if starts is not None:
             alpha_y0, alpha_z0 = np.empty_like(lam), np.empty_like(lam)

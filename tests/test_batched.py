@@ -318,9 +318,9 @@ def test_spectrum_request_solve_count(spec, material, monkeypatch):
 
 def test_material_lookup_count(spec, material, monkeypatch):
     """A design point looks up each polarization once for its five modes
-    and once for its group indices' eight stencil wavelengths: 4 Sellmeier
-    and 4 increment calls. Spectra and filtered gamma add one of each per
-    polarization, so a spectrum request makes 8 Sellmeier calls."""
+    and each of its four group indices' two stencil wavelengths in one call:
+    6 Sellmeier and 6 increment calls. Spectra and filtered gamma add one of
+    each per polarization, so a spectrum request makes 10 Sellmeier calls."""
     calls = {"index": 0, "increment": 0}
 
     def counted(owner, name):
@@ -334,10 +334,10 @@ def test_material_lookup_count(spec, material, monkeypatch):
     counted(SellmeierSet, "index")
     counted(IndexIncrementTable, "increment")
     result = design_point(spec, WaveguideGeometry(10.0, 10.0), material)
-    assert calls == {"index": 4, "increment": 4}
+    assert calls == {"index": 6, "increment": 6}
     result.spectra(10.0, 201)
     result.filtered_gamma(0.1)
-    assert calls == {"index": 8, "increment": 8}
+    assert calls == {"index": 10, "increment": 10}
 
 
 def test_spectrum_requests_start_from_the_design_modes(spec, material, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpmdesign
-from qpmdesign import cli, config
+from qpmdesign import cli, config, errors
 from qpmdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, MAX_SPECTRUM_SAMPLES, main
 
 
@@ -145,15 +145,44 @@ class TestExitCodes:
         pytest.param(json.dumps({"index_increments": [[519.0, -1e-4, 0.0037],
                                                       [780.0, 0.0034, 0.003]]}),
                      "must lie in [0, 0.01)", id="increment<0"),
+        pytest.param(json.dumps({"index_increments": [[519.0, 0.0038],
+                                                      [780.0, 0.0034, 0.003]]}),
+                     "entries must be (wavelength_nm, dn_o, dn_e) rows", id="two-number-row"),
+        pytest.param(json.dumps({"index_increments": 5}),
+                     "entries must be (wavelength_nm, dn_o, dn_e) rows, got 5",
+                     id="table=5"),
+        pytest.param(json.dumps({"index_increments": "abc"}),
+                     "entries must be (wavelength_nm, dn_o, dn_e) rows, got 'abc'",
+                     id="table=abc"),
+        pytest.param(json.dumps({"index_increments": [[519.0, None, 0.0037],
+                                                      [780.0, 0.0034, 0.003]]}),
+                     "increment table entry must be a finite number, got None",
+                     id="null-entry"),
     ])
     def test_bad_config_file_exits_1_in_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
         path.write_text(text)
-        assert main(["design", "--config", str(path)]) == EXIT_CONFIG
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("config error:") and message in err
-        assert err.count("\n") == 1
+        for extra in ([], ["--dump-config"]):
+            assert main(["design", "--config", str(path), *extra]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("config error:") and message in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["design", "sweep", "spectrum", "grating"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, command):
+        """An ``--out`` that is an existing file, or lies below one, exits 1
+        in one line naming the path, before or after some files are written."""
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        extra = ["--samples", "401", "--half-range-nm", "8"] if command == "spectrum" else []
+        for out in (taken, taken / "run"):
+            assert main([command, "--out", str(out), *extra]) == EXIT_CONFIG
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert err.startswith(f"config error: cannot write to {out}:")
+            assert err.count("\n") == 1
+        assert taken.read_text() == "kept\n"
 
     def test_temperature_outside_sellmeier_range(self, tmp_path, capsys):
         """--dump-config and design reject the same temperature with the
@@ -192,6 +221,35 @@ class TestExitCodes:
                            lambda_i_nm=None)
         assert main(["design", "--config", cfg]) == EXIT_CONFIG
         assert "2007.18" in capsys.readouterr().err
+
+
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.QpmDesignError)]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_status_follows_the_error_type(monkeypatch, capsys, error):
+    """An ``Infeasible`` error from a design point exits 2, and is a sweep
+    row's status; any other toolkit error exits 1. Each error exit writes one
+    stderr line."""
+    def design_point(*args):
+        raise error("raised here")
+
+    monkeypatch.setattr(cli, "design_point", design_point)
+    infeasible = issubclass(error, errors.Infeasible)
+    assert main(["design"]) == (EXIT_PHYSICS if infeasible else EXIT_CONFIG)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    if infeasible:
+        assert err == f"infeasible design: {error.__name__}: raised here\n"
+    code = main(["sweep"])
+    out, err = capsys.readouterr()
+    if infeasible:
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[-1] == f"10,10,,,,{error.__name__}"
+    else:
+        assert code == EXIT_CONFIG and out == "" and err.count("\n") == 1
 
 
 def test_design_request_validates_and_loads_once(monkeypatch, capsys):

@@ -254,8 +254,8 @@ def assert_group_indices_match_per_mode_lookup(result):
 
 
 def test_group_index_matches_per_mode_lookup_on_the_table(table_results):
-    """One material lookup per polarization gives the group indices of one
-    lookup per mode, bit for bit, on the four table rows."""
+    """``design_point``'s group indices are those of the oracle's own
+    per-mode lookup, bit for bit, on the four table rows."""
     for result in table_results.values():
         assert_group_indices_match_per_mode_lookup(result)
 
