@@ -110,7 +110,7 @@ def load_config(path: str | None = None, **overrides) -> DesignConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")

@@ -84,7 +84,8 @@ class SellmeierSet:
             )
 
     def index(self, polarization: str, wavelength_nm, temperature_c: float):
-        """Bulk index; an array of wavelengths gives an array."""
+        """Bulk index; an array of wavelengths gives an array. OutOfRange
+        outside the validated ranges or where the fit gives no index (n^2 <= 0)."""
         coefficients = getattr(self, normalize_polarization(polarization))
         lam_nm = np.asarray(wavelength_nm, dtype=float)
         lo, hi = self.wavelength_range_nm
@@ -102,6 +103,10 @@ class SellmeierSet:
         lam2 = lam * lam
         f = (temperature_c - self.t0_c) * (temperature_c + self.t0_c + self.t_offset_c)
         n2 = a1 + (a2 + b1 * f) / (lam2 - (a3 + b2 * f) ** 2) + b3 * f - a4 * lam2
+        if not (n2 > 0.0).all():
+            bad = np.flatnonzero(~(n2 > 0.0))[0]
+            raise OutOfRange(f"the {normalize_polarization(polarization)} fit gives no index "
+                             f"at {float(lam_nm.flat[bad])} nm: n^2 = {float(np.ravel(n2)[bad])}")
         return np.sqrt(n2)
 
 
@@ -149,7 +154,7 @@ def _read_sellmeier(path: str | None) -> SellmeierSet:
         )
     except OSError as exc:
         raise ConfigError(f"cannot read Sellmeier file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
         raise ConfigError(f"Sellmeier file {path} is not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"Sellmeier file {path} lacks the key {exc}") from exc

@@ -46,9 +46,13 @@ class ConfigError(QpmDesignError):
 
 
 def is_number(value) -> bool:
-    """A finite int or float (bool excluded; numpy's float64 is a float)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite int or float (bool excluded; numpy's float64 is a float). An
+    int beyond the float range is not finite: False, not OverflowError."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def check_number(name: str, value) -> None:

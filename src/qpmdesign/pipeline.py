@@ -176,7 +176,7 @@ class DesignResult:
         if lam_s - 0.5 * window == lam_s + 0.5 * window:
             return self.gamma
         grid = self.spec.signal_grid(0.5 * window, spdc.FILTER_SAMPLES)
-        return spdc.filtered_gamma(grid, self.amplitudes_at(grid), window)
+        return spdc.filtered_gamma(grid, self.amplitudes_at(grid))
 
     def to_dict(self) -> dict:
         """The design figures as a JSON-ready dict."""

@@ -200,15 +200,10 @@ def required_frequencies(po, so, se, io, ie) -> tuple[float, float]:
     """QPM spatial frequencies (rad/um) of the two processes from five modes.
 
     K1 phase-matches (signal-o, idler-e), K2 (signal-e, idler-o); see
-    ``phase_matching_k``.
+    ``phase_matching_k``. Either may come out non-positive: the sign is
+    decided once, by ``periods_from_frequencies``.
     """
-    k1 = phase_matching_k(po, so, ie)
-    k2 = phase_matching_k(po, se, io)
-    if k1 <= 0.0 or k2 <= 0.0:
-        raise NonPositiveFrequency(
-            f"K1 = {k1:.6g}, K2 = {k2:.6g} rad/um: first-order QPM infeasible"
-        )
-    return k1, k2
+    return phase_matching_k(po, so, ie), phase_matching_k(po, se, io)
 
 
 def periods_from_frequencies(K1: float, K2: float) -> GratingDesign:
@@ -216,13 +211,15 @@ def periods_from_frequencies(K1: float, K2: float) -> GratingDesign:
 
     K0 = (K1 + K2)/2, Kp = |K1 - K2|/2; works for either ordering of the two
     frequencies. Every period 2 pi/K comes out finite and positive: raises
+    NonPositiveFrequency when K1 or K2 <= 0 (first-order QPM infeasible),
     DegenerateModulation when K1 = K2 (to 1e-12) or Kp underflows to 0, and
     ConfigError when a frequency is so small that its period overflows.
     """
     check_number("K1", K1)
     check_number("K2", K2)
     if K1 <= 0.0 or K2 <= 0.0:
-        raise NonPositiveFrequency("spatial frequencies must be positive")
+        raise NonPositiveFrequency(
+            f"K1 = {K1:.6g}, K2 = {K2:.6g} rad/um: first-order QPM infeasible")
     k0 = 0.5 * K1 + 0.5 * K2  # K1 + K2 can overflow
     kp = 0.5 * abs(K1 - K2)
     if kp == 0.0 or math.isclose(K1, K2, rel_tol=1e-12, abs_tol=0.0):

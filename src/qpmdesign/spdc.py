@@ -167,15 +167,15 @@ def fwhm(lambda_grid_nm: Sequence[float], intensity: Sequence[float]) -> float:
     return abs(cross(ipk, +1) - cross(ipk, -1))
 
 
-def filtered_gamma(lambda_s_nm, amplitudes: ProcessAmplitudes, window_nm: float) -> float:
-    """Min/max ratio of the two processes' amplitude magnitudes, each
-    averaged (trapezoid rule) over the signal wavelengths ``lambda_s_nm``
-    that span ``window_nm``; ``amplitudes`` holds arrays over them."""
-    avg_oe = float(np.trapezoid(np.abs(amplitudes.C_oe_rel), lambda_s_nm)) / window_nm
-    avg_eo = float(np.trapezoid(np.abs(amplitudes.C_eo_rel), lambda_s_nm)) / window_nm
-    if avg_oe == 0.0 and avg_eo == 0.0:
+def filtered_gamma(lambda_s_nm, amplitudes: ProcessAmplitudes) -> float:
+    """Min/max ratio of the two processes' trapezoid integrals of amplitude
+    magnitude over the signal wavelengths ``lambda_s_nm`` (``amplitudes``
+    holds arrays over them); the window's width cancels in the ratio."""
+    int_oe = float(np.trapezoid(np.abs(amplitudes.C_oe_rel), lambda_s_nm))
+    int_eo = float(np.trapezoid(np.abs(amplitudes.C_eo_rel), lambda_s_nm))
+    if int_oe == 0.0 and int_eo == 0.0:
         raise UndefinedGamma("both filtered amplitudes vanish")
-    return min(avg_oe, avg_eo) / max(avg_oe, avg_eo)
+    return min(int_oe, int_eo) / max(int_oe, int_eo)
 
 
 def grating_scheme_efficiency_ratio() -> float:

@@ -13,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpmdesign
-from qpmdesign import cli, config, errors
-from qpmdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, MAX_SPECTRUM_SAMPLES, main
+from qpmdesign import InteractionSpec, WaveguideGeometry, cli, config, errors
+from qpmdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, MAX_SPECTRUM_SAMPLES, _fmt, main
+from qpmdesign.pipeline import Material, design_point
 
 
 PACKAGED_SELLMEIER = json.loads(resources.files("qpmdesign.data").joinpath(
     "linbo3_sellmeier.json").read_text())
+# The paper's four design-table geometries as a sweep config.
+DESIGN_TABLE = Path(__file__).resolve().parents[1] / "scripts" / "design_table.json"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -138,6 +141,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text, message", [
         pytest.param("not json {", "is not valid JSON", id="not-json"),
+        pytest.param(b'{"width_um": 1\xff}', "is not valid JSON", id="not-utf-8"),
         pytest.param("[]", "config root must be a JSON object", id="list-root"),
         pytest.param(json.dumps({"index_increments": [[519.0, 0.0038, 0.0037],
                                                       [780.0, 0.0034, 0.01]]}),
@@ -161,7 +165,7 @@ class TestExitCodes:
     ])
     def test_bad_config_file_exits_1_in_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         for extra in ([], ["--dump-config"]):
             assert main(["design", "--config", str(path), *extra]) == EXIT_CONFIG
             out, err = capsys.readouterr()
@@ -212,6 +216,44 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "infeasible design: NoGuidedMode: no interior maximum of n_eff^2 at "
             "1551.0344827586207 nm (w=4.5 um, h=4.0 um, dn=0.0025)\n")
+
+    @pytest.mark.parametrize("digits", [401, 5001])
+    @pytest.mark.parametrize("where", ["width_um", "increment", "sellmeier_t0_c"])
+    def test_integer_of_any_size_exits_1_in_one_line(self, tmp_path, capsys, recwarn,
+                                                      where, digits):
+        """An integer beyond the float range, or too long for ``json`` to
+        parse, is a config error wherever a number belongs."""
+        literal = "1" + "0" * (digits - 1)  # written raw: json.dumps cannot write 5001 digits
+        table = tmp_path / "sellmeier.json"
+        doc = {
+            "width_um": {"width_um": "N"},
+            "increment": {"index_increments": [[519.0, 0.0038, 0.0037], [780.0, "N", 0.003]]},
+            "sellmeier_t0_c": {"sellmeier_file": str(table)},
+        }[where]
+        table.write_text(json.dumps({**PACKAGED_SELLMEIER, "t0_c": "N"}).replace('"N"', literal))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc).replace('"N"', literal))
+        assert main(["design", "--config", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:")
+        assert err.count("\n") == 1
+        assert not recwarn.list
+
+    def test_fit_without_an_index_exits_1_in_one_line(self, tmp_path, capsys, recwarn):
+        """A Sellmeier file whose ordinary n^2 is negative at the pump exits 1
+        naming the fit, with no NumPy warning and before any mode is solved."""
+        doc = json.loads(json.dumps(PACKAGED_SELLMEIER))
+        doc["sets"]["ordinary"]["coefficients"][0] = -10.0
+        table = tmp_path / "sellmeier.json"
+        table.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, sellmeier_file=str(table))
+        assert main(["design", "--config", cfg]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the ordinary fit gives no index at 519.0 nm: n^2 = -9.4")
+        assert err.count("\n") == 1
+        assert not recwarn.list
 
     def test_out_of_range_idler_is_config_error_before_cutoff(self, tmp_path, capsys):
         """All five modes' indices are looked up before any solve: the
@@ -356,6 +398,21 @@ class TestSweep:
         depth, width, g, l1, l2, status = rows[1].split(",")
         assert status == "ok"
         assert float(g) == pytest.approx(gamma_design, rel=1e-5)
+
+    def test_design_table_config_gives_the_paper_rows(self, capsys):
+        """The checked-in design-table config zips into the paper's four
+        geometries, in table order, each row the design point's figures."""
+        assert main(["sweep", "--config", str(DESIGN_TABLE)]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[2:]
+        geometries = [(6.5, 6.0), (8.0, 8.0), (10.0, 10.0), (12.0, 12.0)]
+        assert len(rows) == len(geometries)
+        spec = InteractionSpec(519.0, 780.0, 1551.0, 25.0, 10.0)
+        for row, (depth, width) in zip(rows, geometries):
+            result = design_point(spec, WaveguideGeometry(width_w=width, depth_h=depth),
+                                  Material.default())
+            assert row.split(",") == [
+                _fmt(depth), _fmt(width), _fmt(result.gamma), _fmt(result.design.Lambda1),
+                _fmt(result.design.Lambda2), "ok"]
 
     def test_infeasible_row_reported_not_fatal(self, tmp_path):
         cfg = write_config(tmp_path, width_um=[10.0, 0.8], depth_um=[10.0, 0.8])
@@ -505,7 +562,7 @@ class TestGrating:
 # edges of every check or a value of the wrong type. Lengths stay small, so
 # no draw allocates a long pattern.
 EDGE_NUMBERS = [0.0, -1.0, 1e-300, 1e300, float("nan"), float("inf")]
-EDGES = [*EDGE_NUMBERS, "abc", None, True, [], {}]
+EDGES = [*EDGE_NUMBERS, 10**400, "abc", None, True, [], {}]
 
 
 def numbers(lo, hi):

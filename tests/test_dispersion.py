@@ -140,6 +140,17 @@ def test_packaged_fit_is_parsed_once_per_process(monkeypatch):
     assert first == SELLMEIER
 
 
+def test_fit_without_an_index_is_out_of_range(recwarn):
+    """A fit whose n^2 is not positive gives no index: OutOfRange names the
+    first such wavelength, with no NumPy warning from the square root."""
+    broken = dataclasses.replace(SELLMEIER, ordinary=(-10.0, *SELLMEIER.ordinary[1:]))
+    with pytest.raises(OutOfRange, match=r"^the ordinary fit gives no index at 780\.0 nm: "
+                                         r"n\^2 = -9\.8"):
+        broken.index("o", np.array([780.0, 519.0]), 25.0)
+    assert broken.index("e", 519.0, 25.0) == SELLMEIER.index("e", 519.0, 25.0)
+    assert not recwarn.list
+
+
 def test_increment_out_of_span_and_clamp():
     assert TABLE.increment("ordinary", 1551.0) == 0.0025
     assert TABLE.increment("extraordinary", 400.0) == 0.0037

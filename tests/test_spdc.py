@@ -238,10 +238,10 @@ class TestFilteredGamma:
         vanishing gives 0."""
         grid = np.array([779.95, 780.0, 780.05])
         zero, half = np.zeros(3), np.full(3, 0.5)
-        assert filtered_gamma(grid, amps(zero, half), 0.1) == 0.0
-        assert filtered_gamma(grid, amps(half, zero), 0.1) == 0.0
+        assert filtered_gamma(grid, amps(zero, half)) == 0.0
+        assert filtered_gamma(grid, amps(half, zero)) == 0.0
         with pytest.raises(UndefinedGamma, match="both filtered amplitudes vanish"):
-            filtered_gamma(grid, amps(zero, zero), 0.1)
+            filtered_gamma(grid, amps(zero, zero))
 
     def test_filter_as_wide_as_narrow_band_rejected(self, reference_result):
         with pytest.raises(FilterTooWide):
