@@ -14,16 +14,18 @@ index the mode is only quasi-guided and is flagged as such.
 
 ``solve_mode`` is one batched kernel: it takes a wavelength (with its
 material indices) or arrays of them, broadcasts and flattens them, starts
-each point at the start alphas it is given, by default alpha_y = alpha_z =
-1, and runs a safeguarded Newton iteration (``_newton``) on the analytic
-stationarity equations of each flat chunk of ``NEWTON_CHUNK`` points.
-Off-design re-solves start from the solved design-point mode. Existence is
-decided once per batch, before the iteration: the closed form has an
-interior maximum exactly when the guiding strength V = 8 n_b dn (k0 w)^2
-exceeds the model cutoff V_c of the channel's aspect ratio
-(``model_cutoff``), a number in closed form. A batch with a point at or
-below V_c is refused at the first such point without a Newton step; above
-V_c a point Newton does not settle on the maximum is refused as such.
+each point at the start alpha_y it is given, by default 1, and solves the
+stationarity equations of each flat chunk of ``NEWTON_CHUNK`` points by a
+bracketed Newton iteration (``_newton``). The two equations reduce to one
+in alpha_y along a closed-form curve, on which the guiding strength
+V = 8 n_b dn (k0 w)^2 is a U-shaped function of alpha_y with its minimum,
+the model cutoff V_c of the channel's aspect ratio (``model_cutoff``), at
+the fold; alpha_z follows from alpha_y in closed form. Off-design
+re-solves start from the solved design-point mode. Existence is decided
+once per batch, before the iteration: the closed form has an interior
+maximum exactly when V > V_c, and a batch with a point at or below V_c is
+refused at the first such point without a Newton step. Above V_c the
+maximum is the one root of V(alpha_y) = V above the fold.
 
 Alphas from callers (a ``TrialField`` they build, the start alphas) pass one
 check, ``_positive``; the fields of solved modes, whose alphas ``_newton``
@@ -40,27 +42,27 @@ import numpy as np
 from .dispersion import WaveguideGeometry
 from .errors import NoGuidedMode
 
-# Newton stops once a step is below NEWTON_TOL (relative to alpha) or after
-# NEWTON_STEPS. A settled point with an alpha at or below ALPHA_CUT is on the
-# alpha -> 0 boundary, not an interior maximum. ``solve_mode`` refuses a
-# point past the model cutoff before any step, so the limit bounds the cost
-# of a point above it that Newton fails to settle. Steps to settle from the
-# seed (1, 1) over 400,000 random points (numpy seed 7; d, w in [2, 20] um;
-# 500-540, 740-820 and 1450-1700 nm; both polarizations; 369,437 accepted),
-# as steps: points:
-#   3-4: 927, 5: 28,252, 6: 97,220, 7: 96,870, 8: 127,081, 9: 19,023,
-#   10: 50, 11: 11, 12: 1, 13: 2.
+# ``_newton`` settles a point after a Newton step in ln alpha_y shorter than
+# NEWTON_TOL: along the curve |T''/(2 T')| <= 0.28 (measured above the fold
+# for q from 3e-8 to 3e8, the span of GEOMETRY_RANGE_UM), so the error such
+# a step leaves is below 0.28 NEWTON_TOL^2, under rounding. It settles a
+# point unmoved where |ln(V(a_y) / V)| <= RESIDUAL_TOL, 18 ulp of 1: that
+# log reads up to 7 ulp at roots the iteration settled by step (120,000
+# random points). NEWTON_STEPS bounds the steps; a point it cuts off is
+# refused. Steps over fold_gate.py's samples
+# (numpy seed 7; 4,000 geometries, d, w in [2, 20] um; 100 points each in
+# 500-540, 740-820 and 1450-1700 nm; both polarizations), as steps: points.
+# From (1, 1), 369,957 accepted:
+#   2: 123, 3: 33,453, 4: 189,905, 5: 146,476.
 # Started warm, from the mode at 780 nm for 740-820 nm and at 1551 nm for
-# 1450-1700 nm, as off-design re-solves are (numpy seed 7; 400 geometries,
-# d, w in [2, 20] um; both polarizations; 350,785 accepted, the same points
-# as from (1, 1)):
-#   2: 6, 3: 6,361, 4: 230,435, 5: 109,459, 6: 3,459, 7: 901, 8: 122,
-#   9: 34, 10: 6, 11: 1, 12: 1;
-# from (1, 1) the same points take 4: 1,649, 5: 36,629, 6: 139,487,
-#   7: 116,147, 8: 56,681, 9: 154, 10: 25, 11: 10, 12: 2, 14: 1.
-NEWTON_STEPS = 16
-NEWTON_TOL = 1e-13
-ALPHA_CUT = 1e-8
+# 1450-1700 nm, as off-design re-solves are, 236,064 accepted:
+#   2: 1,658, 3: 212,673, 4: 21,733;
+# from (1, 1) the same points take 2: 121, 3: 30,667, 4: 146,780, 5: 58,496.
+# From starts in [1e-4, 1e2] at V / V_c - 1 in [1e-14, 1e6] over
+# GEOMETRY_RANGE_UM, 120,000 points took at most 17.
+NEWTON_STEPS = 32
+NEWTON_TOL = 1e-8
+RESIDUAL_TOL = 4e-15
 # Points ``solve_mode`` refines in one ``_newton`` call. Newton's working
 # arrays grow with the points refined together, and chunks bound them: the
 # 4 x 20,001-point solve of a 20,001-sample spectrum traces 6.2 MiB at its
@@ -99,8 +101,9 @@ class TrialField:
     @classmethod
     def from_solver(cls, alpha_y, alpha_z, width_w, depth_h) -> "TrialField":
         """The field of alphas ``_newton`` accepted, built unchecked. An
-        accepted point has both alphas above ALPHA_CUT, so the caller check
-        holds by construction and does not run again."""
+        accepted point lies on the stationary curve above the fold, where
+        alpha_y > 0 and alpha_z^2 > 1/8, so the caller check holds by
+        construction and does not run again."""
         field = object.__new__(cls)
         vars(field).update(alpha_y=alpha_y, alpha_z=alpha_z,
                            width_w=width_w, depth_h=depth_h)
@@ -153,98 +156,95 @@ def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
     return n_b**2 - kinetic + guiding
 
 
-def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y, alpha_z):
-    """Safeguarded Newton iteration on the stationarity equations of the
-    closed form.
+def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y):
+    """Safeguarded Newton iteration along the stationary curve of the
+    closed form: one root in alpha_y per point.
 
-    Writing n_eff^2 = n_b^2 - c_y a_y^2 - c_z a_z^2 + c f(a_y) g(a_z) with
-    c_y = 1/(k0 w)^2, c_z = 3/(k0 h)^2, c = 8 n_b dn,
-    f = a/sqrt(2a^2+1) and g = a^3/(2a^2+1)^(3/2), the gradient and Hessian
-    follow from f' = (2a^2+1)^(-3/2), f'' = -6a (2a^2+1)^(-5/2),
-    g' = 3a^2 (2a^2+1)^(-5/2) and g'' = 6a (1-3a^2) (2a^2+1)^(-7/2).
+    In ``model_cutoff``'s form, write u = a_y^2, w = a_z^2 and P =
+    3u (2u + 1) / q. Both stationarity equations hold exactly when
+    w = 2P / (1 + sqrt(1 + 8P)) and V = 2 a_y [(2u + 1)(2w + 1) / w]^(3/2),
+    which with y = 2w + 1 = (1 + sqrt(1 + 8P)) / 2 is V(a_y) =
+    2 y^3 / ((h/w)^3 u). Along that curve d ln V / d ln a_y =
+    12 (h/w)^2 u (4u + 1) / ((2y - 1) y) - 2, which has the sign of
+    (8u + 1)(8w - 1) - 3: it is negative below the fold alpha_y a_c of
+    ``model_cutoff`` and positive above it, where V(a_c) = V_c, and
+    V > 16 a_y^4. So a point with V > V_c has one interior maximum, the
+    root of V(a_y) = V in the bracket (a_c, (V/16)^(1/4)].
 
-    Two rules safeguard the Newton step -H^-1 grad. Where det H <= 0 the
-    step is |H|^-1 grad, |H| the matrix absolute value of H (Nocedal &
-    Wright, Numerical Optimization, 2nd ed., sec. 3.4): an ascent that
-    leaves saddles. Where H is concave, |H|^-1 grad is the Newton step. And
-    every step is shortened so that no alpha more than halves: the iteration
-    never crosses to the mirror maximum at negative alphas.
+    Newton runs in s = ln a_y on T(s) = sqrt(ln(V(a_y) / V_c)), which is
+    linear in s at the fold, where ln V is quadratic, so it converges
+    quadratically on roots near the fold too. A point starts at its
+    ``alpha_y`` capped at the top of its bracket, or at that top where
+    ``alpha_y`` is at or below a_c. Its bracket
+    shrinks to each iterate by the sign of ln(V(a_y) / V), and a Newton
+    step that leaves it is replaced by the bracket's geometric midpoint.
+    A Newton step inside the bracket shorter than NEWTON_TOL settles the
+    point after it is taken. A point whose ln(V(a_y) / V) is within
+    RESIDUAL_TOL of 0 is a root to rounding and settles where it is: a
+    start at a solved mode is returned unmoved, and so is a point so near
+    V_c that its Newton step is rounding noise. A settled point stops
+    moving, so a point's result does not depend on the points refined
+    with it.
 
-    Takes one flat chunk: ``alpha_y`` and ``alpha_z`` are 1-d arrays of
-    one length, and ``n_b``, ``delta_n`` and ``wavelength_nm`` arrays of
-    that length or scalars; ``solve_mode`` broadcasts and flattens its
-    arguments into such chunks. Returns (alpha_y, alpha_z, accepted) of
-    that length: a point is accepted when the iteration settled on a
-    concave interior point (det H > 0, H_yy < 0, both alphas above
-    ALPHA_CUT), i.e. a local maximum. A point whose start already passes
-    the settle test is returned unmoved.
+    Takes one flat chunk: ``alpha_y`` is a 1-d array, and ``n_b``,
+    ``delta_n`` and ``wavelength_nm`` are arrays of its length or scalars;
+    ``solve_mode`` broadcasts and flattens its arguments into such chunks. Returns (alpha_y, alpha_z, accepted) of
+    that length: a point is accepted when it passes ``solve_mode``'s
+    pre-test ``_above_cutoff`` and settled within NEWTON_STEPS.
     """
-    k0 = 2.0 * math.pi / (wavelength_nm * 1e-3)
-    cy = 1.0 / (k0 * width_w) ** 2
-    cz = 3.0 / (k0 * depth_h) ** 2
-    c = 8.0 * n_b * delta_n
-    ky, kz = -2.0 * cy, -2.0 * cz
-    ay, az = alpha_y.copy(), alpha_z.copy()
-
-    with np.errstate(all="ignore"):
-        for k in range(NEWTON_STEPS):
-            sy = 2.0 * ay**2 + 1.0
-            sz = 2.0 * az**2 + 1.0
-            cf = c * (ay / np.sqrt(sy))  # c f
-            cf1 = c * sy**-1.5  # c f'
-            g = az**3 * sz**-1.5
-            g1 = 3.0 * az**2 * sz**-2.5
-            grad_y = ky * ay + cf1 * g
-            grad_z = kz * az + cf * g1
-            h_yy = ky + c * (-6.0 * ay * sy**-2.5) * g
-            h_zz = kz + cf * (6.0 * az * (1.0 - 3.0 * az**2) * sz**-3.5)
-            h_yz = cf1 * g1
-            step_y, step_z, det = _ascent_direction(grad_y, grad_z, h_yy, h_zz, h_yz)
-            # no alpha more than halves, so alphas stay positive and H_yy < 0:
-            # det H > 0 means concave. A settled point stays where it would
-            # stop if refined alone, independent of the others refined with it
-            scale = -0.5 / np.minimum(-0.5, np.minimum(step_y / ay, step_z / az))
-            if k == 0:
-                # a start that already passes the settle test stays where it
-                # is: a start at a solved mode returns that mode bit for bit
-                settled = _settled(step_y * scale, step_z * scale, ay, az)
-            scale[settled] = 0.0
-            step_y *= scale
-            step_z *= scale
-            ay += step_y
-            az += step_z
-            settled = _settled(step_y, step_z, ay, az)
+    v_c, a_c, _ = model_cutoff(width_w, depth_h)
+    aspect2 = (depth_h / width_w) ** 2  # 3/q
+    kw = 2.0 * math.pi / (wavelength_nm * 1e-3) * width_w  # k0 w
+    v = 8.0 * n_b * delta_n * (kw * kw)
+    admitted = _above_cutoff(v_c, width_w, n_b, delta_n, wavelength_nm)
+    settled = ~admitted
+    with np.errstate(all="ignore"):  # points past the cutoff hold NaN
+        hi = np.sqrt(np.sqrt(v / 16.0))
+        lo = np.full_like(hi, a_c)
+        ay = np.where(alpha_y > a_c, np.minimum(alpha_y, hi), hi)
+        scale = 2.0 / (aspect2 * math.sqrt(aspect2) * v)  # V(a_y) / V = scale y^3 / u
+        log_v = np.log(v / v_c)
+        t_root = np.sqrt(log_v)  # T at the root
+        for _ in range(NEWTON_STEPS):
+            u, au, root = _stationary_curve(ay, aspect2)
+            y = 0.5 * root + 0.5
+            g = np.log(y * y * y * scale / u)  # ln(V(a_y) / V)
+            slope = 12.0 * au * (4.0 * u + 1.0) / (root * y) - 2.0  # d ln V / ds
+            above = g > 0.0
+            hi = np.where(above, ay, hi)
+            lo = np.where(above, lo, ay)
+            t = np.sqrt(g + log_v)  # T
+            # -(T - t_root) / T' with T - t_root = g / (T + t_root), T' = slope / (2T)
+            step = -2.0 * t * g / ((t + t_root) * slope)
+            new = ay * np.exp(step)
+            inside = (new >= lo) & (new <= hi)
+            new = np.where(inside, new, np.sqrt(lo * hi))
+            settled |= np.abs(g) <= RESIDUAL_TOL
+            ay = np.where(settled, ay, new)
+            settled |= inside & (np.abs(step) <= NEWTON_TOL)
             if settled.all():
                 break
-        # the last Hessian: a point settled earlier sits where it was taken,
-        # one that settled on the last step moved by at most NEWTON_TOL
-        accepted = (settled & (ay > ALPHA_CUT) & (az > ALPHA_CUT)
-                    & (det > 0.0) & (h_yy < 0.0))
-    return ay, az, accepted
+        u, au, root = _stationary_curve(ay, aspect2)
+        alpha_z = np.sqrt(au * (2.0 * u + 1.0) / (0.5 * root + 0.5))  # w = P / y
+    return ay, alpha_z, admitted & settled
 
 
-def _settled(step_y, step_z, alpha_y, alpha_z):
-    """Where a step is below NEWTON_TOL relative to the alphas. NaN compares
-    false: a point gone non-finite cannot recover and settles."""
-    return ~((np.abs(step_y) > NEWTON_TOL * (1.0 + alpha_y))
-             | (np.abs(step_z) > NEWTON_TOL * (1.0 + alpha_z)))
+def _stationary_curve(alpha_y, aspect2):
+    """(u, (h/w)^2 u, sqrt(1 + 8P)) at ``alpha_y`` on the stationary curve
+    of a channel with (h/w)^2 = ``aspect2``: u = a_y^2 and P = 3u (2u + 1)
+    / q = (h/w)^2 u (2u + 1)."""
+    u = alpha_y * alpha_y
+    au = aspect2 * u
+    return u, au, np.sqrt(8.0 * au * (2.0 * u + 1.0) + 1.0)
 
 
-def _ascent_direction(grad_y, grad_z, h_yy, h_zz, h_yz):
-    """(step_y, step_z, det H) for H = [[h_yy, h_yz], [h_yz, h_zz]]: the
-    Newton step n = -H^-1 grad where det H > 0, else |H|^-1 grad. For a
-    symmetric 2x2 H, |H| = (t H + e I) / s with t = tr H, e = |det H| - det H
-    and s = sqrt(t^2 + 2e), so det H <= 0 gives |H|^-1 grad = (t n + 2 grad) / s."""
-    det = h_yy * h_zz - h_yz**2
-    step_y = (h_yz * grad_z - h_zz * grad_y) / det
-    step_z = (h_yz * grad_y - h_yy * grad_z) / det
-    saddle = det <= 0.0
-    if saddle.any():
-        t = h_yy[saddle] + h_zz[saddle]
-        s = np.sqrt(t * t - 4.0 * det[saddle])
-        step_y[saddle] = (t * step_y[saddle] + 2.0 * grad_y[saddle]) / s
-        step_z[saddle] = (t * step_z[saddle] + 2.0 * grad_z[saddle]) / s
-    return step_y, step_z, det
+def _above_cutoff(v_c, width_w, n_b, delta_n, wavelength_nm):
+    """Where V = 8 n_b dn (k0 w)^2 exceeds V_c, the one existence test of
+    ``solve_mode`` and ``_newton``. With k0 = 2000 pi / lambda (nm) it is
+    n_b dn / lambda^2 > V_c / (8 (2000 pi w)^2); dn <= 0 (n_b > 0) and NaN
+    fail it."""
+    cut = v_c / (8.0 * (2e3 * math.pi * width_w) ** 2)
+    return n_b * delta_n / (wavelength_nm * wavelength_nm) > cut
 
 
 def model_cutoff(width_w: float, depth_h: float) -> tuple[float, float, float]:
@@ -253,10 +253,11 @@ def model_cutoff(width_w: float, depth_h: float) -> tuple[float, float, float]:
 
     With c_y = 1/(k0 w)^2 the closed form reads
     n_eff^2 = n_b^2 + c_y [-a_y^2 - q a_z^2 + V f(a_y) g(a_z)], with
-    q = 3 (w/h)^2, V = 8 n_b dn (k0 w)^2 and f, g as in ``_newton``. At a
-    stationary point the Hessian of the bracket depends on the alphas alone,
-    and det H = 0 on the fold (8 a_y^2 + 1)(8 a_z^2 - 1) = 3. Along it, with
-    u = a_y^2, q = 3u (8u + 1)^2 / (5u + 1) rises monotonically from 0, so u
+    q = 3 (w/h)^2, V = 8 n_b dn (k0 w)^2, f(a) = a / sqrt(2a^2 + 1) and
+    g(a) = a^3 / (2a^2 + 1)^(3/2). At a stationary point the Hessian of
+    the bracket depends on the alphas alone, and det H = 0 on the fold
+    (8 a_y^2 + 1)(8 a_z^2 - 1) = 3. Along it, with u = a_y^2,
+    q = 3u (8u + 1)^2 / (5u + 1) rises monotonically from 0, so u
     is the one positive root of 192u^3 + 48u^2 + (3 - 5q) u - q = 0,
     a_z^2 = (2u + 1) / (2 (8u + 1)) and V_c = 16 sqrt(u) (5u + 1)^(3/2). A
     point with V <= V_c has no interior maximum. V_c is the cutoff of the
@@ -285,17 +286,18 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     ``alpha_y0`` and ``alpha_z0`` broadcast: scalars give a ModalSolution
     of numpy scalars, arrays one whose numeric fields (and field alphas)
     are arrays of the broadcast shape. Each point starts at its start
-    alphas, by default alpha_y = alpha_z = 1, and ``_newton`` refines the
-    points together, ``NEWTON_CHUNK`` at a time; each chunk's n_eff is
-    finished and checked before the next is refined. A solved mode's alphas
-    are a warm start for wavelengths near its own. A start alpha that is
-    not positive (NaN included) raises ValueError before any solve.
+    alpha_y, by default 1, and ``_newton`` refines the points together,
+    ``NEWTON_CHUNK`` at a time; each chunk's n_eff is finished and checked
+    before the next is refined. A solved mode's alpha_y is a warm start for
+    wavelengths near its own; alpha_z follows from alpha_y, so
+    ``alpha_z0`` places no start. A start alpha that is not positive (NaN
+    included) raises ValueError before any solve.
 
     Raises NoGuidedMode at the first point past the model cutoff
     (``model_cutoff``): delta_n <= 0 or V <= V_c, checked over the whole
     batch before any Newton step. Else it raises at the first point
-    ``_newton`` does not accept (it does not settle on a concave interior
-    point from its start) or whose n_eff^2 is not positive.
+    ``_newton`` does not settle within NEWTON_STEPS or whose n_eff^2 is
+    not positive.
     An interior maximum that fails to exceed the substrate index is
     returned flagged ``guided=False``: such a mode is only quasi-guided,
     but near-cutoff geometries still support the nonlinear interaction
@@ -308,10 +310,7 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     if not _positive(ay0, az0):
         raise ValueError("start alphas must be positive")
     w, h = geom.width_w, geom.depth_h
-    # V = 8 n_b dn (k0 w)^2 with k0 = 2000 pi / lambda (nm), so V > V_c
-    # exactly when n_b dn / lambda^2 > V_c / (8 (2000 pi w)^2), up to rounding
-    cut = model_cutoff(w, h)[0] / (8.0 * (2e3 * math.pi * w) ** 2)
-    past = ~(n_b * dn / (lam * lam) > cut)  # dn <= 0 (n_b > 0) and NaN are past too
+    past = ~_above_cutoff(model_cutoff(w, h)[0], w, n_b, dn, lam)
     if past.any():
         k = int(np.argmax(past))
         raise _no_mode("no index increment" if dn[k] <= 0.0
@@ -321,7 +320,7 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     for start in range(0, lam.size, NEWTON_CHUNK):
         part = slice(start, start + NEWTON_CHUNK)
         lam_c, n_b_c, dn_c = lam[part], n_b[part], dn[part]
-        ay_c, az_c, accepted = _newton(w, h, n_b_c, dn_c, lam_c, ay0[part], az0[part])
+        ay_c, az_c, accepted = _newton(w, h, n_b_c, dn_c, lam_c, ay0[part])
         with np.errstate(all="ignore"):  # rejected points may hold non-finite alphas
             neff2 = neff_closed_form(ay_c, az_c, w, h, n_b_c, dn_c, lam_c)
         failed = ~accepted | ~(neff2 > 0.0)

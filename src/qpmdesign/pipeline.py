@@ -79,8 +79,8 @@ class ModeContext:
         the rows of one polarization share one ``indices`` call. Each
         solution has its request's polarization and that shape. ``starts``,
         one TrialField per request, starts each row's points at that
-        field's alphas, which broadcast over the row; without it every
-        point starts at (1, 1). With the requests taken in order,
+        field's alpha_y, which broadcasts over the row; without it every
+        point starts at alpha_y 1. With the requests taken in order,
         NoGuidedMode names the first point past the model cutoff, else the
         first point Newton rejects.
         """
@@ -91,12 +91,12 @@ class ModeContext:
         for pol in dict.fromkeys(pols):
             rows = [i for i, row_pol in enumerate(pols) if row_pol == pol]
             n_b[rows], dn[rows] = self.indices(pol, lam[rows])
-        alpha_y0 = alpha_z0 = 1.0
+        alpha_y0 = 1.0
         if starts is not None:
-            alpha_y0, alpha_z0 = np.empty_like(lam), np.empty_like(lam)
+            alpha_y0 = np.empty_like(lam)
             for row, field in enumerate(starts):
-                alpha_y0[row], alpha_z0[row] = field.alpha_y, field.alpha_z
-        joined = solve_mode(self.geometry, n_b, dn, lam, alpha_y0=alpha_y0, alpha_z0=alpha_z0)
+                alpha_y0[row] = field.alpha_y
+        joined = solve_mode(self.geometry, n_b, dn, lam, alpha_y0=alpha_y0)
         f = joined.field
         return [ModalSolution(wavelength_nm=joined.wavelength_nm[i],
                               polarization=pol,

@@ -4,8 +4,9 @@ The trial field and the index profile in (y, z), adaptive 2-D quadrature of
 the variational functional and of the overlap integral, tensor Gauss
 rules for both, a strict-peak grid
 search and a Nelder-Mead maximization of the closed form that the mode
-solver's existence verdict and Newton refinement are checked against, a
-mode solve in which Newton alone decides existence, which the model-cutoff
+solver's existence verdict and Newton refinement are checked against, the
+gradient and Hessian of the closed form's bracket term by term, a mode
+solve in which Newton alone decides existence, which the model-cutoff
 pre-test is checked against, the
 zero-mismatch amplitude ratio written directly in the variational
 parameters, a group index that re-solves the mode around its
@@ -235,20 +236,35 @@ def grid_peak(width_w, depth_h, n_b, delta_n, wavelength_nm):
     return None
 
 
-def newton_only_solve(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
-                      alpha_y0=1.0, alpha_z0=1.0):
-    """``solve_mode`` without the model cutoff: ``_newton`` judges every
-    point, and NoGuidedMode, with ``solve_mode``'s text for its Newton
-    verdicts, names the first point with delta_n <= 0, no accepted maximum
-    or n_eff^2 <= 0, the first of these reasons that holds there. Returns
+def bracket_derivatives(alpha_y, alpha_z, q, v):
+    """(grad_y, grad_z, h_yy, h_zz, h_yz): the gradient and Hessian in the
+    alphas of B = -a_y^2 - q a_z^2 + V f(a_y) g(a_z), ``model_cutoff``'s
+    bracket, with n_eff^2 = n_b^2 + B / (k0 w)^2, f = a / sqrt(2a^2 + 1)
+    and g = a^3 / (2a^2 + 1)^(3/2), written out term by term from
+    f' = (2a^2 + 1)^(-3/2), f'' = -6a (2a^2 + 1)^(-5/2),
+    g' = 3a^2 (2a^2 + 1)^(-5/2) and g'' = 6a (1 - 3a^2) (2a^2 + 1)^(-7/2).
+    Broadcasts."""
+    ay, az = np.asarray(alpha_y, dtype=float), np.asarray(alpha_z, dtype=float)
+    sy, sz = 2.0 * ay**2 + 1.0, 2.0 * az**2 + 1.0
+    f, f1, f2 = ay / np.sqrt(sy), sy**-1.5, -6.0 * ay * sy**-2.5
+    g, g1, g2 = az**3 * sz**-1.5, 3.0 * az**2 * sz**-2.5, 6.0 * az * (1.0 - 3.0 * az**2) * sz**-3.5
+    return (-2.0 * ay + v * f1 * g, -2.0 * q * az + v * f * g1,
+            -2.0 + v * f2 * g, -2.0 * q + v * f * g2, v * f1 * g1)
+
+
+def newton_only_solve(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm, alpha_y0=1.0):
+    """``solve_mode`` without its separate cutoff pass: ``_newton`` judges
+    every point (its verdict includes the model cutoff's pre-test), and
+    NoGuidedMode, with ``solve_mode``'s text for its Newton verdicts,
+    names the first point with delta_n <= 0, no accepted maximum or
+    n_eff^2 <= 0, the first of these reasons that holds there. Returns
     the flat (alpha_y, alpha_z, n_eff) arrays otherwise. ``_newton`` refines
     each point as it would alone, so one call over all points stands for
     ``solve_mode``'s chunks."""
-    lam, n_b, dn, ay0, az0 = (np.ravel(x) for x in np.broadcast_arrays(*(
-        np.asarray(x, dtype=float)
-        for x in (wavelength_nm, n_b, delta_n, alpha_y0, alpha_z0))))
+    lam, n_b, dn, ay0 = (np.ravel(x) for x in np.broadcast_arrays(*(
+        np.asarray(x, dtype=float) for x in (wavelength_nm, n_b, delta_n, alpha_y0))))
     w, h = geom.width_w, geom.depth_h
-    ay, az, accepted = modesolver._newton(w, h, n_b, dn, lam, ay0, az0)
+    ay, az, accepted = modesolver._newton(w, h, n_b, dn, lam, ay0)
     with np.errstate(all="ignore"):
         neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
     failed = (dn <= 0.0) | ~accepted | ~(neff2 > 0.0)

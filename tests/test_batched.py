@@ -21,9 +21,9 @@ from qpmdesign import (NoGuidedMode, TrialField, WaveguideGeometry, modesolver, 
 from qpmdesign.dispersion import IndexIncrementTable, SellmeierSet
 from qpmdesign.pipeline import ModeContext, design_point
 
-from conftest import DESIGN_TABLE
-from oracles import (reference_design_point, reference_filtered_gamma, reference_mode,
-                     reference_spectra)
+from conftest import DESIGN_TABLE, counting_steps
+from oracles import (bracket_derivatives, reference_design_point, reference_filtered_gamma,
+                     reference_mode, reference_spectra)
 
 # signal and idler bands (nm) of the differential tests
 BANDS = {"signal": (770.0, 790.0), "idler": (1530.0, 1575.0)}
@@ -93,27 +93,28 @@ def test_newton_matches_nelder_mead(material, depth, width, lam, pol):
     (10.0, 10.0, "ordinary", 780.0),
 ])
 def test_newton_accepts_only_local_maxima(material, width, depth, pol, lam):
-    """From seeds spread over the alpha plane, among them seeds near saddles
-    of the closed form, only maxima may be accepted."""
+    """From alpha_y seeds spread over [0.05, 12] and at the fold alpha_y,
+    every point settles on the one maximum: the same alphas from every
+    seed, where the gradient of the closed-form bracket vanishes within
+    rounding and its Hessian is negative definite."""
     n_b = material.sellmeier.index(pol, lam, 25.0)
     dn = material.increments.increment(pol, lam)
-    seeds = np.linspace(0.05, 12.0, 40)
-    ay0, az0 = (a.ravel() for a in np.meshgrid(seeds, seeds, indexing="ij"))
-    ay, az, accepted = modesolver._newton(width, depth, n_b, dn, lam, ay0, az0)
-    assert accepted.any()
-    ay, az = ay[accepted], az[accepted]
-
-    def f(dy, dz):
-        return modesolver.neff_closed_form(ay + dy, az + dz, width, depth, n_b, dn, lam)
-
-    peak = f(0.0, 0.0)
-    eps = 1e-4
-    for dy, dz in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]:
-        assert np.all(f(eps * dy, eps * dz) < peak)
+    ay0 = np.append(np.linspace(0.05, 12.0, 40), modesolver.model_cutoff(width, depth)[1])
+    ay, az, accepted = modesolver._newton(width, depth, n_b, dn, lam, ay0)
+    assert accepted.all()
+    assert np.ptp(ay) <= 1e-14 * ay[0] and np.ptp(az) <= 1e-14 * az[0]
+    kw = 2.0 * np.pi / (lam * 1e-3) * width
+    q = 3.0 * (width / depth) ** 2
+    grad_y, grad_z, h_yy, h_zz, h_yz = bracket_derivatives(ay, az, q, 8.0 * n_b * dn * kw * kw)
+    # each within rounding of the terms that cancel in it
+    assert np.all(np.abs(grad_y) <= 1e-13 * 2.0 * ay)
+    assert np.all(np.abs(grad_z) <= 1e-13 * 2.0 * q * az)
+    assert np.all(h_yy < 0.0)
+    assert np.all(h_yy * h_zz - h_yz**2 > 0.0)
 
 
 @pytest.mark.parametrize("width, depth, lam", [
-    (8.25, 3.0, 1600.0),  # rejected: the halving cap shortens every step
+    (8.25, 3.0, 1600.0),  # rejected: past the model cutoff
     (10.0, 10.0, 1551.0),
 ])
 def test_newton_one_point_chunk_is_that_point_of_a_larger_chunk(material, width, depth, lam):
@@ -123,24 +124,25 @@ def test_newton_one_point_chunk_is_that_point_of_a_larger_chunk(material, width,
     n_b = material.sellmeier.index("ordinary", lams, 25.0)
     dn = material.increments.increment("ordinary", lams)
     ones = np.ones(5)
-    chunk = modesolver._newton(width, depth, n_b, dn, lams, ones, ones)
-    alone = modesolver._newton(width, depth, n_b[2:3], dn[2:3], lams[2:3], ones[:1], ones[:1])
+    chunk = modesolver._newton(width, depth, n_b, dn, lams, ones)
+    alone = modesolver._newton(width, depth, n_b[2:3], dn[2:3], lams[2:3], ones[:1])
     for one, many in zip(alone, chunk):
         assert one.shape == (1,)
         assert one.tobytes() == many[2:3].tobytes()
 
 
 def test_solver_output_passes_the_caller_check(table_results, monkeypatch):
-    """Every field the solver returns has its alphas above ALPHA_CUT and
-    builds as a caller's TrialField: the five design modes of the four
-    table rows, the four arms of ``amplitudes_at`` over 201 samples and a
-    3,000-point warm ``solve_mode``. So solver output may skip the check."""
+    """Every field the solver returns lies above the fold, alpha_y > 0 and
+    alpha_z^2 > 1/8, and builds as a caller's TrialField: the five design
+    modes of the four table rows, the four arms of ``amplitudes_at`` over
+    201 samples and a 3,000-point warm ``solve_mode``. So solver output may
+    skip the check."""
     fields = []
 
     def check(mode):
         f = mode.field
-        assert np.all(f.alpha_y > modesolver.ALPHA_CUT)
-        assert np.all(f.alpha_z > modesolver.ALPHA_CUT)
+        assert np.all(f.alpha_y > 0.0)
+        assert np.all(f.alpha_z**2 > 0.125)
         TrialField(f.alpha_y, f.alpha_z, f.width_w, f.depth_h)
         fields.append(f)
 
@@ -343,21 +345,14 @@ def test_material_lookup_count(spec, material, monkeypatch):
 def test_spectrum_requests_start_from_the_design_modes(spec, material, monkeypatch):
     """Spectra and filtered gamma start every mode from its design-point
     mode, not from (1, 1): at d = w = 10 um, spectra(10, 2001), two Newton
-    chunks, takes 4 + 4 Newton steps and filtered_gamma(0.1) takes 3,
-    against 6 + 4 and 6 from (1, 1)."""
+    chunks, takes 3 + 3 Newton steps and filtered_gamma(0.1) takes 2,
+    against 9 and 5 from (1, 1)."""
     result = design_point(spec, WaveguideGeometry(10.0, 10.0), material)
-    steps = [0]
-    ascent_direction = modesolver._ascent_direction
-
-    def counted(*args):
-        steps[0] += 1
-        return ascent_direction(*args)
-
-    monkeypatch.setattr(modesolver, "_ascent_direction", counted)
+    steps = counting_steps(monkeypatch)
     result.spectra(10.0, 2001)
-    assert steps[0] == 8
+    assert steps[0] == 6
     result.filtered_gamma(0.1)
-    assert steps[0] == 8 + 3
+    assert steps[0] == 6 + 2
 
 
 @settings(max_examples=60, deadline=None)

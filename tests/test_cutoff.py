@@ -2,9 +2,10 @@
 
 ``modesolver.model_cutoff`` against the folds recorded by bisection and
 against the stationarity and det H = 0 conditions it solves; ``_newton``
-never accepting a point at or below V_c; and ``solve_mode``, which refuses
-a batch with such a point before any Newton step and otherwise matches
-``newton_only_solve``, in which Newton alone decides existence.
+accepting exactly the points the pre-test admits, none at or below V_c;
+``solve_mode``, which refuses a batch with such a point before any Newton
+step and otherwise matches ``newton_only_solve``, in which ``_newton``'s
+own verdict decides existence; and a mode far above V_c at an extreme aspect ratio.
 """
 
 import math
@@ -21,13 +22,8 @@ from qpmdesign.dispersion import GEOMETRY_RANGE_UM
 from qpmdesign.modesolver import model_cutoff
 from qpmdesign.pipeline import Material, ModeContext, design_point
 
-from oracles import newton_only_solve
-
-
-def strength(width_w, n_b, delta_n, wavelength_nm):
-    """V = 8 n_b dn (k0 w)^2."""
-    k0 = 2.0 * math.pi / (np.asarray(wavelength_nm) * 1e-3)
-    return 8.0 * n_b * delta_n * (k0 * width_w) ** 2
+from conftest import counting_steps, strength
+from oracles import bracket_derivatives, nelder_mead, newton_only_solve
 
 
 def test_model_cutoff_of_the_square_channel():
@@ -44,8 +40,9 @@ def test_model_cutoff_of_the_square_channel():
     (0.5, 81.4488750, 81.4488895),
 ])
 def test_model_cutoff_below_the_bisected_folds(aspect, v_c, bisected):
-    """V_c at three aspect ratios h/w, and the strength from which
-    ``_newton`` accepts, found by bisection, just above it."""
+    """V_c at three aspect ratios h/w, against the values recorded for it
+    and against folds recorded by bisecting where a 2-D Newton iteration on
+    the closed form settles, which lie just above it."""
     got = model_cutoff(6.0, 6.0 * aspect)[0]
     assert got == pytest.approx(v_c, rel=0.0, abs=5e-8)
     assert 1.3e-7 < bisected / got - 1.0 < 1.8e-7
@@ -57,11 +54,7 @@ def test_fold_alphas_are_a_degenerate_stationary_point(q):
     -a_y^2 - q a_z^2 + V f(a_y) g(a_z) vanish and its Hessian singular
     (f = a / sqrt(2a^2 + 1), g = a^3 / (2a^2 + 1)^(3/2))."""
     v_c, ay, az = model_cutoff(1.0, math.sqrt(3.0 / q))
-    sy, sz = 2.0 * ay**2 + 1.0, 2.0 * az**2 + 1.0
-    f, f1, f2 = ay / math.sqrt(sy), sy**-1.5, -6.0 * ay * sy**-2.5
-    g, g1, g2 = az**3 * sz**-1.5, 3.0 * az**2 * sz**-2.5, 6.0 * az * (1.0 - 3.0 * az**2) * sz**-3.5
-    grad = (-2.0 * ay + v_c * f1 * g, -2.0 * q * az + v_c * f * g1)
-    h_yy, h_zz, h_yz = -2.0 + v_c * f2 * g, -2.0 * q + v_c * f * g2, v_c * f1 * g1
+    *grad, h_yy, h_zz, h_yz = bracket_derivatives(ay, az, q, v_c)
     # each within rounding of the terms that cancel in it
     assert abs(grad[0]) <= 1e-13 * 2.0 * ay
     assert abs(grad[1]) <= 1e-13 * 2.0 * q * az
@@ -80,22 +73,29 @@ def test_model_cutoff_finite_at_the_ends_of_the_geometry_range():
 
 @pytest.mark.parametrize("aspect", np.logspace(-1.0, 1.0, 9))
 def test_newton_never_accepts_at_or_below_the_cutoff(aspect):
-    """Started at (1, 1) or at random alphas in [0.05, 5], ``_newton``
-    accepts no point with V <= V_c."""
+    """Started at alpha_y 1 or at random alpha_y in [0.05, 5], ``_newton``
+    accepts exactly the points of ``solve_mode``'s pre-test: none with
+    V < V_c, and at V = V_c only where the pre-test's rounding puts V
+    above it. ``_newton`` ANDs that pre-test into its verdict, so the
+    "none below V_c" half holds by construction; the half that measures
+    the kernel is that it settles every admitted point."""
     width, depth, n_b, lam = 8.0, 8.0 * aspect, 2.2, 1000.0
     ratio = np.concatenate([[1.0], 1.0 - np.logspace(-12.0, -0.3, 40)])
-    dn = ratio * model_cutoff(width, depth)[0] / strength(width, n_b, 1.0, lam)
+    v_c = model_cutoff(width, depth)[0]
+    dn = ratio * v_c / strength(width, n_b, 1.0, lam)
+    admitted = modesolver._above_cutoff(v_c, width, n_b, dn, lam)
+    assert not admitted[1:].any()
     rng = np.random.default_rng(7)
-    starts = [np.ones((2, ratio.size))] + [rng.uniform(0.05, 5.0, (2, ratio.size))
-                                           for _ in range(20)]
-    for ay0, az0 in starts:
-        assert not modesolver._newton(width, depth, n_b, dn, lam, ay0, az0)[2].any()
+    starts = [np.ones(ratio.size)] + [rng.uniform(0.05, 5.0, ratio.size) for _ in range(20)]
+    for ay0 in starts:
+        np.testing.assert_array_equal(
+            modesolver._newton(width, depth, n_b, dn, lam, ay0)[2], admitted)
 
 
 POINT_KINDS = ("below", "at", "band", "above", "no increment")
 PAST_KINDS = ("below", "at", "no increment")
 # V / V_c of each kind, placed by t in [0, 1]. "band" lies within 1e-5 above
-# V_c, where det H -> 0 and Newton converges slowly. The kinds at and past
+# V_c, where det H -> 0 and d V / d alpha_y -> 0. The kinds at and past
 # the cutoff stay 1e-12 below it and the others 1e-12 above: at V = V_c the
 # V formed here and the one ``solve_mode`` forms round to either side.
 RATIOS = {"below": lambda t: (1.0 - 1e-12) * (0.2 + 0.8 * (1.0 - t)),
@@ -141,20 +141,6 @@ def batches(test):
               ("below", 0.5, 1600.0, "ordinary")], 2)):
         test = example(depth=6.0, width=6.0, points=points, chunk=chunk)(test)
     return settings(max_examples=200, deadline=None)(test)
-
-
-def counting_steps(monkeypatch):
-    """A one-element list that counts ``_ascent_direction`` calls, one per
-    Newton step of a chunk."""
-    steps = [0]
-    ascent_direction = modesolver._ascent_direction
-
-    def counted(*args):
-        steps[0] += 1
-        return ascent_direction(*args)
-
-    monkeypatch.setattr(modesolver, "_ascent_direction", counted)
-    return steps
 
 
 @batches
@@ -203,22 +189,30 @@ def test_first_point_past_the_cutoff_is_named_before_any_newton_step(
     assert steps[0] == 0
 
 
-def test_newton_rejection_above_the_cutoff_is_named_as_such():
-    """At h/w = 1e4, Newton from (1, 1) fails to settle on the maximum the
-    closed form has at V = 64.9 V_c: NoGuidedMode says so."""
+def test_extreme_aspect_ratio_mode_matches_nelder_mead():
+    """At h/w = 1e4 the closed form has its maximum at V = 64.9 V_c:
+    ``solve_mode`` finds it, with the n_eff of Nelder-Mead from (1, 1) and
+    its alphas within the 1e-5 that Nelder-Mead resolves them to on this
+    flat maximum."""
     ctx = ModeContext(Material.default(), WaveguideGeometry(0.1, 1000.0))
-    with pytest.raises(NoGuidedMode, match="^Newton did not settle on the interior maximum "
-                                           "at 519.0 nm"):
-        ctx.solve("ordinary", 519.0)
+    mode = ctx.solve("ordinary", 519.0)
+    n_b, dn = ctx.indices("ordinary", 519.0)
+    v_c = model_cutoff(0.1, 1000.0)[0]
+    assert strength(0.1, n_b, dn, 519.0) / v_c == pytest.approx(64.9, abs=0.05)
+    ay, az = nelder_mead((1.0, 1.0), 0.1, 1000.0, n_b, dn, 519.0)
+    n_eff = math.sqrt(modesolver.neff_closed_form(ay, az, 0.1, 1000.0, n_b, dn, 519.0))
+    assert abs(mode.n_eff - n_eff) <= 1e-12
+    assert mode.field.alpha_y == pytest.approx(ay, rel=1e-5)
+    assert mode.field.alpha_z == pytest.approx(az, rel=1e-5)
 
 
 def test_cutoff_design_point_takes_no_newton_step(spec, material, monkeypatch):
     """A design point whose idler is past the model cutoff is refused
-    before any Newton step; a guided one takes the steps it took before
-    the pre-test."""
+    before any Newton step; a guided one, its five modes started at (1, 1),
+    takes 5."""
     steps = counting_steps(monkeypatch)
     with pytest.raises(NoGuidedMode, match="no interior maximum of n_eff.2 at 1551.03"):
         design_point(spec, WaveguideGeometry(4.5, 4.0), material)
     assert steps[0] == 0
     design_point(spec, WaveguideGeometry(10.0, 10.0), material)
-    assert steps[0] == 7
+    assert steps[0] == 5

@@ -125,44 +125,12 @@ def test_tiny_geometry_raises():
     ("extraordinary", 1560.0), ("extraordinary", 1574.0),
 ])
 def test_plane_wave_limit_is_no_mode(material, pol, lam):
-    """Past cutoff of a 3.06 x 8.66 um guide the steps from (1, 1), each
-    cut so that no alpha more than halves, slide toward the alpha -> 0
-    boundary, the plane-wave limit with n_eff == n_b, and never settle: no
-    mode."""
+    """Past the model cutoff of a 3.06 x 8.66 um guide the closed form has
+    no interior maximum, only the alpha -> 0 boundary, the plane-wave limit
+    with n_eff == n_b: no mode."""
     ctx = ModeContext(material, WaveguideGeometry(3.06, 8.66))
     with pytest.raises(NoGuidedMode, match="no interior maximum"):
         ctx.solve(pol, lam)
-
-
-def test_abs_hessian_step_matches_eigh():
-    """The closed-form |H|^-1 grad against |H| from an eigendecomposition,
-    for random symmetric 2x2 Hessians with det H <= 0 and concave ones
-    (where it is the Newton step -H^-1 grad). The smaller eigenvalue's
-    magnitude reaches 1e-3 of the larger one's: both computations lose
-    about eps times that ratio's inverse."""
-    rng = np.random.default_rng(19)
-    n = 20_000
-    mag = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    ratio = 10.0 ** rng.uniform(-3.0, 0.0, n)
-    sign = rng.choice([-1.0, 1.0], n)
-    saddle = rng.random(n) < 0.75  # eigenvalues of opposite signs, else both negative
-    big = np.where(saddle, sign, -1.0) * mag
-    small = np.where(saddle, -sign, -1.0) * ratio * mag
-    theta = rng.uniform(0.0, np.pi, n)
-    cos, sin = np.cos(theta), np.sin(theta)
-    h_yy = cos * cos * big + sin * sin * small
-    h_zz = sin * sin * big + cos * cos * small
-    h_yz = cos * sin * (big - small)
-    grad = rng.normal(size=(n, 2))
-    step_y, step_z, det = modesolver._ascent_direction(
-        grad[:, 0], grad[:, 1], h_yy, h_zz, h_yz)
-    hess = np.stack([np.stack([h_yy, h_yz], -1), np.stack([h_yz, h_zz], -1)], -2)
-    values, vectors = np.linalg.eigh(hess)
-    along = np.einsum("nji,nj->ni", vectors, grad) / np.abs(values)
-    ref = np.einsum("nij,nj->ni", vectors, along)
-    np.testing.assert_array_equal(det <= 0.0, saddle)
-    err = np.hypot(step_y - ref[:, 0], step_z - ref[:, 1]) / np.hypot(*ref.T)
-    assert err.max() <= 1e-12
 
 
 @pytest.mark.parametrize("width, depth, pol, lam", [
@@ -172,25 +140,31 @@ def test_abs_hessian_step_matches_eigh():
     (8.25, 3.0, "ordinary", 1600.0),  # past cutoff
 ])
 def test_newton_keeps_alphas_positive(material, monkeypatch, width, depth, pol, lam):
-    """From seeds spread over [0.05, 12]^2, guided or past cutoff, the
-    halving cap keeps every alpha positive, through steps with det H <= 0
-    too."""
+    """From alpha_y seeds spread over [0.05, 12], guided or past cutoff, every
+    returned alpha is positive, and every iterate of a point above the
+    cutoff stays inside its bracket [a_c, (V/16)^(1/4)], a_c the fold
+    alpha_y of ``model_cutoff``."""
     n_b = material.sellmeier.index(pol, lam, 25.0)
     dn = material.increments.increment(pol, lam)
-    seeds = np.linspace(0.05, 12.0, 40)
-    ay0, az0 = (a.ravel() for a in np.meshgrid(seeds, seeds, indexing="ij"))
-    saddle_steps = []
+    ay0 = np.linspace(0.05, 12.0, 40)
+    iterates = []
 
-    def counted(*args):
-        step_y, step_z, det = direction(*args)
-        saddle_steps.append(np.count_nonzero(det <= 0.0))
-        return step_y, step_z, det
+    def recorded(alpha_y, aspect2):
+        iterates.append(alpha_y)
+        return curve(alpha_y, aspect2)
 
-    direction = modesolver._ascent_direction
-    monkeypatch.setattr(modesolver, "_ascent_direction", counted)
-    ay, az, _ = modesolver._newton(width, depth, n_b, dn, lam, ay0, az0)
+    curve = modesolver._stationary_curve
+    monkeypatch.setattr(modesolver, "_stationary_curve", recorded)
+    ay, az, accepted = modesolver._newton(width, depth, n_b, dn, lam, ay0)
     assert np.all(ay > 0.0) and np.all(az > 0.0)
-    assert sum(saddle_steps) > 0
+    v_c, a_c, _ = modesolver.model_cutoff(width, depth)
+    kw = 2.0 * math.pi / (lam * 1e-3) * width
+    v = 8.0 * n_b * dn * kw * kw
+    assert accepted.all() == (v > v_c) == accepted.any()
+    if v > v_c:
+        assert len(iterates) > 2
+        for alpha_y in iterates:
+            assert np.all(alpha_y >= a_c) and np.all(alpha_y <= (v / 16.0) ** 0.25 * (1.0 + 1e-15))
 
 
 def test_variational_bound():

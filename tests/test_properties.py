@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpmdesign import (
@@ -15,16 +15,68 @@ from qpmdesign import (
     design_point,
     fourier_component,
     gamma,
+    modesolver,
     periods_from_frequencies,
+    solve_mode,
     synthesize_pattern,
 )
-from qpmdesign.dispersion import IndexIncrementTable
-from qpmdesign.modesolver import TrialField
+from qpmdesign.dispersion import GEOMETRY_RANGE_UM, IndexIncrementTable
+from qpmdesign.modesolver import TrialField, model_cutoff
+from qpmdesign.pipeline import ModeContext
 from qpmdesign.spdc import ProcessAmplitudes
 
+from conftest import strength
 from oracles import amplitude, gauss_legendre_box, index_profile
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# log10 of a width or depth (um) across GEOMETRY_RANGE_UM
+log_um = st.floats(*(math.log10(x) for x in GEOMETRY_RANGE_UM))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_w=log_um, log_h=log_um)
+def test_mode_alphas_are_one_function_of_v(material, log_w, log_h):
+    """On one geometry the maximizing alphas depend on V alone. The pump's
+    mode and both polarizations' signal and idler modes, wherever
+    ``model_cutoff`` puts V more than 1 % above V_c, have the alphas of the
+    kernel at k0 w = 1 (w = 1, the same h/w, n_b = V/8, dn = 1) within
+    1e-14."""
+    width, depth = 10.0**log_w, 10.0**log_h
+    v_c = model_cutoff(width, depth)[0]
+    ctx = ModeContext(material, WaveguideGeometry(width, depth))
+    requests, strengths = [], []
+    for pol, lam in (("ordinary", 519.0), ("ordinary", 780.0), ("extraordinary", 780.0),
+                     ("ordinary", 1551.0), ("extraordinary", 1551.0)):
+        v = strength(width, *ctx.indices(pol, lam), lam)
+        if v > 1.01 * v_c:
+            requests.append((pol, lam))
+            strengths.append(v)
+    assume(requests)
+    ones = np.ones(len(requests))
+    alpha_y, alpha_z, accepted = modesolver._newton(
+        1.0, depth / width, np.array(strengths) / 8.0, 1.0, 2000.0 * math.pi, ones)
+    assert accepted.all()
+    for mode, ay, az in zip(ctx.solve_many(requests), alpha_y, alpha_z):
+        assert mode.field.alpha_y == pytest.approx(ay, rel=1e-14, abs=0.0)
+        assert mode.field.alpha_z == pytest.approx(az, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_w=log_um, log_h=log_um, lam=st.floats(500.0, 1700.0), n_b=st.floats(2.1, 2.3),
+       log_excess=st.floats(-6.0, 3.0), k=st.integers(-3, 3))
+def test_mode_is_scale_invariant(log_w, log_h, lam, n_b, log_excess, k):
+    """Scaling w, h and lambda by 2^k at fixed n_b and dn leaves c_y, q and
+    V unchanged in binary floating point, so the scaled solve returns the
+    same mode bit for bit. dn puts V at V_c (1 + 10^log_excess), above the
+    model cutoff."""
+    width, depth, scale = 10.0**log_w, 10.0**log_h, 2.0**k
+    lo, hi = GEOMETRY_RANGE_UM
+    assume(lo <= width * scale <= hi and lo <= depth * scale <= hi)
+    dn = model_cutoff(width, depth)[0] * (1.0 + 10.0**log_excess) / strength(width, n_b, 1.0, lam)
+    one = solve_mode(WaveguideGeometry(width, depth), n_b, dn, lam)
+    two = solve_mode(WaveguideGeometry(width * scale, depth * scale), n_b, dn, lam * scale)
+    assert (one.field.alpha_y, one.field.alpha_z, one.n_eff, one.guided) == (
+        two.field.alpha_y, two.field.alpha_z, two.n_eff, two.guided)
 
 
 @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
