@@ -13,23 +13,23 @@ meaningful solution is the *interior* stationary point, which is what
 index the mode is only quasi-guided and is flagged as such.
 
 ``solve_mode`` is one batched kernel: it takes a wavelength (with its
-material indices) or arrays of them, broadcasts and flattens them, starts
-each point at the start alpha_y it is given, by default 1, and solves the
-stationarity equations of each flat chunk of ``NEWTON_CHUNK`` points by a
-bracketed Newton iteration (``_newton``). The two equations reduce to one
-in alpha_y along a closed-form curve, on which the guiding strength
-V = 8 n_b dn (k0 w)^2 is a U-shaped function of alpha_y with its minimum,
-the model cutoff V_c of the channel's aspect ratio (``model_cutoff``), at
-the fold; alpha_z follows from alpha_y in closed form. Off-design
-re-solves start from the solved design-point mode. Existence is decided
-once per batch, before the iteration: the closed form has an interior
-maximum exactly when V > V_c, and a batch with a point at or below V_c is
-refused at the first such point without a Newton step. Above V_c the
-maximum is the one root of V(alpha_y) = V above the fold.
+material indices) or arrays of them, broadcasts and flattens them, and
+solves the stationarity equations of each flat chunk of ``NEWTON_CHUNK``
+points by a bracketed Newton iteration (``_newton``). The two equations
+reduce to one in alpha_y along a closed-form curve, on which the guiding
+strength V = 8 n_b dn (k0 w)^2 is a U-shaped function of alpha_y with its
+minimum, the model cutoff V_c of the channel's aspect ratio
+(``model_cutoff``), at the fold; alpha_z follows from alpha_y in closed
+form. Each point starts from its own V, so its mode depends on nothing but
+the geometry and its V. Existence is decided once per batch, before the
+iteration: the closed form has an interior maximum exactly when V > V_c,
+and a batch with a point at or below V_c is refused at the first such
+point without a Newton step. Above V_c the maximum is the one root of
+V(alpha_y) = V above the fold.
 
-Alphas from callers (a ``TrialField`` they build, the start alphas) pass one
-check, ``_positive``; the fields of solved modes, whose alphas ``_newton``
-accepted, are built by ``TrialField.from_solver`` without it.
+A ``TrialField`` a caller builds checks that its alphas are positive; the
+fields of solved modes, whose alphas ``_newton`` accepted, are built by
+``TrialField.from_solver`` without the check.
 """
 
 from __future__ import annotations
@@ -49,17 +49,14 @@ from .errors import NoGuidedMode
 # point unmoved where |ln(V(a_y) / V)| <= RESIDUAL_TOL, 18 ulp of 1: that
 # log reads up to 7 ulp at roots the iteration settled by step (120,000
 # random points). NEWTON_STEPS bounds the steps; a point it cuts off is
-# refused. Steps over fold_gate.py's samples
-# (numpy seed 7; 4,000 geometries, d, w in [2, 20] um; 100 points each in
-# 500-540, 740-820 and 1450-1700 nm; both polarizations), as steps: points.
-# From (1, 1), 369,957 accepted:
-#   2: 123, 3: 33,453, 4: 189,905, 5: 146,476.
-# Started warm, from the mode at 780 nm for 740-820 nm and at 1551 nm for
-# 1450-1700 nm, as off-design re-solves are, 236,064 accepted:
-#   2: 1,658, 3: 212,673, 4: 21,733;
-# from (1, 1) the same points take 2: 121, 3: 30,667, 4: 146,780, 5: 58,496.
-# From starts in [1e-4, 1e2] at V / V_c - 1 in [1e-14, 1e6] over
-# GEOMETRY_RANGE_UM, 120,000 points took at most 17.
+# refused. Steps over fold_gate.py's sample (numpy seed 7; 4,000
+# geometries, d, w in [2, 20] um; 100 points each in 500-540, 740-820 and
+# 1450-1700 nm; both polarizations), as steps: points, 369,957 accepted:
+#   2: 30,023, 3: 321,024, 4: 18,910.
+# Over GEOMETRY_RANGE_UM (h/w from 1e-4 to 1e4) at V / V_c - 1 in
+# [1e-14, 1e6], 128,004 points took at most 17; those more than 1e-2 above
+# V_c took at most 8. The most steps fall near V_c in deep channels
+# (h/w > 10), whose start lies far above the fold.
 NEWTON_STEPS = 32
 NEWTON_TOL = 1e-8
 RESIDUAL_TOL = 4e-15
@@ -95,7 +92,8 @@ class TrialField:
     depth_h: float
 
     def __post_init__(self):
-        if not _positive(self.alpha_y, self.alpha_z):
+        # a NaN alpha compares false and fails the check
+        if not all((np.asarray(alpha) > 0.0).all() for alpha in (self.alpha_y, self.alpha_z)):
             raise ValueError("variational parameters must be positive")
 
     @classmethod
@@ -108,12 +106,6 @@ class TrialField:
         vars(field).update(alpha_y=alpha_y, alpha_z=alpha_z,
                            width_w=width_w, depth_h=depth_h)
         return field
-
-
-def _positive(alpha_y, alpha_z) -> bool:
-    """Whether every alpha is > 0, the check of caller input (a NaN alpha
-    compares false and fails it)."""
-    return bool((np.asarray(alpha_y) > 0.0).all() and (np.asarray(alpha_z) > 0.0).all())
 
 
 @dataclass
@@ -156,7 +148,7 @@ def neff_closed_form(alpha_y, alpha_z, width_w: float, depth_h: float,
     return n_b**2 - kinetic + guiding
 
 
-def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y):
+def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm):
     """Safeguarded Newton iteration along the stationary curve of the
     closed form: one root in alpha_y per point.
 
@@ -173,24 +165,26 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y):
 
     Newton runs in s = ln a_y on T(s) = sqrt(ln(V(a_y) / V_c)), which is
     linear in s at the fold, where ln V is quadratic, so it converges
-    quadratically on roots near the fold too. A point starts at its
-    ``alpha_y`` capped at the top of its bracket, or at that top where
-    ``alpha_y`` is at or below a_c. Its bracket
-    shrinks to each iterate by the sign of ln(V(a_y) / V), and a Newton
-    step that leaves it is replaced by the bracket's geometric midpoint.
+    quadratically on roots near the fold too. A point starts from its own
+    V, at the first two terms of the curve's large-V expansion, a_y^2 =
+    sqrt(V)/4 - 3(1 + h/w) / (8 h/w), which never exceeds the top of its
+    bracket, or at that top where the expansion is at or below a_c. Its
+    bracket shrinks to each iterate by the sign of ln(V(a_y) / V), and a
+    Newton step that leaves it is replaced by the bracket's geometric
+    midpoint.
     A Newton step inside the bracket shorter than NEWTON_TOL settles the
     point after it is taken. A point whose ln(V(a_y) / V) is within
-    RESIDUAL_TOL of 0 is a root to rounding and settles where it is: a
-    start at a solved mode is returned unmoved, and so is a point so near
-    V_c that its Newton step is rounding noise. A settled point stops
-    moving, so a point's result does not depend on the points refined
-    with it.
+    RESIDUAL_TOL of 0 is a root to rounding and settles where it is, as
+    does a point so near V_c that its Newton step is rounding noise. A
+    settled point stops moving, so a point's result does not depend on the
+    points refined with it.
 
-    Takes one flat chunk: ``alpha_y`` is a 1-d array, and ``n_b``,
-    ``delta_n`` and ``wavelength_nm`` are arrays of its length or scalars;
-    ``solve_mode`` broadcasts and flattens its arguments into such chunks. Returns (alpha_y, alpha_z, accepted) of
-    that length: a point is accepted when it passes ``solve_mode``'s
-    pre-test ``_above_cutoff`` and settled within NEWTON_STEPS.
+    Takes one flat chunk: ``n_b``, ``delta_n`` and ``wavelength_nm`` are
+    1-d arrays of one length, or scalars beside such arrays; ``solve_mode``
+    broadcasts and flattens its arguments into such chunks. Returns
+    (alpha_y, alpha_z, accepted) of that length: a point is accepted when
+    it passes ``solve_mode``'s pre-test ``_above_cutoff`` and settled
+    within NEWTON_STEPS.
     """
     v_c, a_c, _ = model_cutoff(width_w, depth_h)
     aspect2 = (depth_h / width_w) ** 2  # 3/q
@@ -201,7 +195,8 @@ def _newton(width_w, depth_h, n_b, delta_n, wavelength_nm, alpha_y):
     with np.errstate(all="ignore"):  # points past the cutoff hold NaN
         hi = np.sqrt(np.sqrt(v / 16.0))
         lo = np.full_like(hi, a_c)
-        ay = np.where(alpha_y > a_c, np.minimum(alpha_y, hi), hi)
+        start = np.sqrt(np.maximum(0.25 * np.sqrt(v) - 0.375 * (1.0 + width_w / depth_h), 0.0))
+        ay = np.where(start > a_c, start, hi)
         scale = 2.0 / (aspect2 * math.sqrt(aspect2) * v)  # V(a_y) / V = scale y^3 / u
         log_v = np.log(v / v_c)
         t_root = np.sqrt(log_v)  # T at the root
@@ -279,19 +274,15 @@ def model_cutoff(width_w: float, depth_h: float) -> tuple[float, float, float]:
 
 
 def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
-               polarization: str = "ordinary", alpha_y0=1.0, alpha_z0=1.0) -> ModalSolution:
+               polarization: str = "ordinary") -> ModalSolution:
     """Maximize the effective-index functional over (alpha_y, alpha_z).
 
-    ``n_b``, ``delta_n``, ``wavelength_nm`` and the positive start alphas
-    ``alpha_y0`` and ``alpha_z0`` broadcast: scalars give a ModalSolution
-    of numpy scalars, arrays one whose numeric fields (and field alphas)
-    are arrays of the broadcast shape. Each point starts at its start
-    alpha_y, by default 1, and ``_newton`` refines the points together,
-    ``NEWTON_CHUNK`` at a time; each chunk's n_eff is finished and checked
-    before the next is refined. A solved mode's alpha_y is a warm start for
-    wavelengths near its own; alpha_z follows from alpha_y, so
-    ``alpha_z0`` places no start. A start alpha that is not positive (NaN
-    included) raises ValueError before any solve.
+    ``n_b``, ``delta_n`` and ``wavelength_nm`` broadcast: scalars give a
+    ModalSolution of numpy scalars, arrays one whose numeric fields (and
+    field alphas) are arrays of the broadcast shape. ``_newton`` refines
+    the points together, ``NEWTON_CHUNK`` at a time, each from a start
+    its own V places; each chunk's n_eff is finished and checked before
+    the next is refined.
 
     Raises NoGuidedMode at the first point past the model cutoff
     (``model_cutoff``): delta_n <= 0 or V <= V_c, checked over the whole
@@ -303,12 +294,10 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     but near-cutoff geometries still support the nonlinear interaction
     through it.
     """
-    lam, n_b, dn, ay0, az0 = np.broadcast_arrays(*(
-        np.asarray(x, dtype=float) for x in (wavelength_nm, n_b, delta_n, alpha_y0, alpha_z0)))
+    lam, n_b, dn = np.broadcast_arrays(*(
+        np.asarray(x, dtype=float) for x in (wavelength_nm, n_b, delta_n)))
     shape = lam.shape
-    lam, n_b, dn, ay0, az0 = (x.ravel() for x in (lam, n_b, dn, ay0, az0))
-    if not _positive(ay0, az0):
-        raise ValueError("start alphas must be positive")
+    lam, n_b, dn = (x.ravel() for x in (lam, n_b, dn))
     w, h = geom.width_w, geom.depth_h
     past = ~_above_cutoff(model_cutoff(w, h)[0], w, n_b, dn, lam)
     if past.any():
@@ -320,7 +309,7 @@ def solve_mode(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm,
     for start in range(0, lam.size, NEWTON_CHUNK):
         part = slice(start, start + NEWTON_CHUNK)
         lam_c, n_b_c, dn_c = lam[part], n_b[part], dn[part]
-        ay_c, az_c, accepted = _newton(w, h, n_b_c, dn_c, lam_c, ay0[part])
+        ay_c, az_c, accepted = _newton(w, h, n_b_c, dn_c, lam_c)
         with np.errstate(all="ignore"):  # rejected points may hold non-finite alphas
             neff2 = neff_closed_form(ay_c, az_c, w, h, n_b_c, dn_c, lam_c)
         failed = ~accepted | ~(neff2 > 0.0)

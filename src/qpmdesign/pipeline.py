@@ -6,9 +6,9 @@ solves modes for several (polarization, wavelengths) requests in one
 ``design_point`` runs the full chain for a single design, solving its five
 modes in one call, and returns a ``DesignResult`` that evaluates off-design
 amplitudes, spectra and filtered entanglement degrees, each with one call
-for all four signal and idler modes at every sample, started from the
-design-point modes. The one cache is below this module:
-``load_sellmeier_sets`` parses the packaged fit once per process.
+for all four signal and idler modes at every sample. The one cache is below
+this module: ``load_sellmeier_sets`` parses the packaged fit once per
+process.
 """
 
 from __future__ import annotations
@@ -70,19 +70,16 @@ class ModeContext:
         ModalSolution of arrays)."""
         return self.solve_many([(polarization, wavelength_nm)])[0]
 
-    def solve_many(self, requests, starts=None) -> list[ModalSolution]:
+    def solve_many(self, requests) -> list[ModalSolution]:
         """One ModalSolution per (polarization, wavelengths) request, in
         request order, all from one ``solve_mode`` call.
 
         The requests' wavelengths must share one shape (ValueError before
         any solve otherwise); they are the rows of the stacked solve, and
         the rows of one polarization share one ``indices`` call. Each
-        solution has its request's polarization and that shape. ``starts``,
-        one TrialField per request, starts each row's points at that
-        field's alpha_y, which broadcasts over the row; without it every
-        point starts at alpha_y 1. With the requests taken in order,
-        NoGuidedMode names the first point past the model cutoff, else the
-        first point Newton rejects.
+        solution has its request's polarization and that shape. With the
+        requests taken in order, NoGuidedMode names the first point past the
+        model cutoff, else the first point Newton rejects.
         """
         pols = [normalize_polarization(pol) for pol, _ in requests]
         lam = np.stack([np.asarray(wavelength_nm, dtype=float)
@@ -91,12 +88,7 @@ class ModeContext:
         for pol in dict.fromkeys(pols):
             rows = [i for i, row_pol in enumerate(pols) if row_pol == pol]
             n_b[rows], dn[rows] = self.indices(pol, lam[rows])
-        alpha_y0 = 1.0
-        if starts is not None:
-            alpha_y0 = np.empty_like(lam)
-            for row, field in enumerate(starts):
-                alpha_y0[row] = field.alpha_y
-        joined = solve_mode(self.geometry, n_b, dn, lam, alpha_y0=alpha_y0)
+        joined = solve_mode(self.geometry, n_b, dn, lam)
         f = joined.field
         return [ModalSolution(wavelength_nm=joined.wavelength_nm[i],
                               polarization=pol,
@@ -132,13 +124,13 @@ class DesignResult:
 
         An array of wavelengths gives amplitudes holding arrays. The four
         signal and idler modes at every wavelength are solved in one
-        ``solve_mode`` call, each started from its design-point mode.
+        ``solve_mode`` call.
         """
         lam_i = self.spec.idler_for(lambda_s_nm)  # by energy conservation
         so, se, io, ie = self.context.solve_many([
             ("ordinary", lambda_s_nm), ("extraordinary", lambda_s_nm),
             ("ordinary", lam_i), ("extraordinary", lam_i),
-        ], starts=[self.modes[name].field for name in ("so", "se", "io", "ie")])
+        ])
         return spdc.relative_amplitudes(self.modes["po"], so, se, io, ie,
                                         self.design, self.spec.length_mm)
 

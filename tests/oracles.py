@@ -252,7 +252,7 @@ def bracket_derivatives(alpha_y, alpha_z, q, v):
             -2.0 + v * f2 * g, -2.0 * q + v * f * g2, v * f1 * g1)
 
 
-def newton_only_solve(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm, alpha_y0=1.0):
+def newton_only_solve(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm):
     """``solve_mode`` without its separate cutoff pass: ``_newton`` judges
     every point (its verdict includes the model cutoff's pre-test), and
     NoGuidedMode, with ``solve_mode``'s text for its Newton verdicts,
@@ -261,10 +261,10 @@ def newton_only_solve(geom: WaveguideGeometry, n_b, delta_n, wavelength_nm, alph
     the flat (alpha_y, alpha_z, n_eff) arrays otherwise. ``_newton`` refines
     each point as it would alone, so one call over all points stands for
     ``solve_mode``'s chunks."""
-    lam, n_b, dn, ay0 = (np.ravel(x) for x in np.broadcast_arrays(*(
-        np.asarray(x, dtype=float) for x in (wavelength_nm, n_b, delta_n, alpha_y0))))
+    lam, n_b, dn = (np.ravel(x) for x in np.broadcast_arrays(*(
+        np.asarray(x, dtype=float) for x in (wavelength_nm, n_b, delta_n))))
     w, h = geom.width_w, geom.depth_h
-    ay, az, accepted = modesolver._newton(w, h, n_b, dn, lam, ay0)
+    ay, az, accepted = modesolver._newton(w, h, n_b, dn, lam)
     with np.errstate(all="ignore"):
         neff2 = neff_closed_form(ay, az, w, h, n_b, dn, lam)
     failed = (dn <= 0.0) | ~accepted | ~(neff2 > 0.0)

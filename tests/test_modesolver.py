@@ -9,7 +9,7 @@ from qpmdesign import modesolver
 from qpmdesign.modesolver import TrialField, group_index, neff_closed_form
 from qpmdesign.pipeline import ModeContext, design_point
 
-from conftest import DESIGN_TABLE
+from conftest import DESIGN_TABLE, strength
 from oracles import (amplitude, gauss_legendre_neff2, index_profile, neff_quadrature,
                      per_mode_group_index, reference_group_index)
 
@@ -84,14 +84,6 @@ def test_trial_field_needs_positive_alphas():
             TrialField(alpha_y, alpha_z, 10.0, 10.0)
 
 
-@pytest.mark.parametrize("start", [0.0, -1.0, math.nan])
-def test_solve_mode_needs_positive_start_alphas(start):
-    with pytest.raises(ValueError, match="^start alphas must be positive$"):
-        solve_mode(GEOM, NB, DN, LAM, alpha_y0=start)
-    with pytest.raises(ValueError, match="^start alphas must be positive$"):
-        solve_mode(GEOM, NB, DN, [LAM, LAM], alpha_z0=[1.0, start])
-
-
 def test_solve_mode_bracket():
     sol = solve_mode(GEOM, NB, DN, LAM)
     assert NB < sol.n_eff < NB + 0.005
@@ -138,15 +130,20 @@ def test_plane_wave_limit_is_no_mode(material, pol, lam):
     (6.0, 6.5, "extraordinary", 1570.0),
     (3.06, 8.66, "extraordinary", 1560.0),  # past cutoff
     (8.25, 3.0, "ordinary", 1600.0),  # past cutoff
+    # h/w = 10: up to 1.74 V_c the start falls back to the bracket top
+    (2.0, 20.0, "extraordinary", 1551.0),
 ])
 def test_newton_keeps_alphas_positive(material, monkeypatch, width, depth, pol, lam):
-    """From alpha_y seeds spread over [0.05, 12], guided or past cutoff, every
-    returned alpha is positive, and every iterate of a point above the
-    cutoff stays inside its bracket [a_c, (V/16)^(1/4)], a_c the fold
+    """The point, guided or past cutoff, and its geometry at 40 strengths
+    from 1e-9 above V_c to 100 V_c: every returned alpha is positive,
+    exactly the points above V_c are accepted, and every iterate of such a
+    point stays inside its bracket [a_c, (V/16)^(1/4)], a_c the fold
     alpha_y of ``model_cutoff``."""
     n_b = material.sellmeier.index(pol, lam, 25.0)
-    dn = material.increments.increment(pol, lam)
-    ay0 = np.linspace(0.05, 12.0, 40)
+    v_c, a_c, _ = modesolver.model_cutoff(width, depth)
+    unit = strength(width, n_b, 1.0, lam)  # V per unit delta_n
+    dn = np.append(material.increments.increment(pol, lam),
+                   v_c * (1.0 + np.logspace(-9.0, 2.0, 40)) / unit)
     iterates = []
 
     def recorded(alpha_y, aspect2):
@@ -155,16 +152,14 @@ def test_newton_keeps_alphas_positive(material, monkeypatch, width, depth, pol, 
 
     curve = modesolver._stationary_curve
     monkeypatch.setattr(modesolver, "_stationary_curve", recorded)
-    ay, az, accepted = modesolver._newton(width, depth, n_b, dn, lam, ay0)
+    ay, az, accepted = modesolver._newton(width, depth, n_b, dn, lam)
     assert np.all(ay > 0.0) and np.all(az > 0.0)
-    v_c, a_c, _ = modesolver.model_cutoff(width, depth)
-    kw = 2.0 * math.pi / (lam * 1e-3) * width
-    v = 8.0 * n_b * dn * kw * kw
-    assert accepted.all() == (v > v_c) == accepted.any()
-    if v > v_c:
-        assert len(iterates) > 2
-        for alpha_y in iterates:
-            assert np.all(alpha_y >= a_c) and np.all(alpha_y <= (v / 16.0) ** 0.25 * (1.0 + 1e-15))
+    v = unit * dn
+    np.testing.assert_array_equal(accepted, v > v_c)
+    assert len(iterates) > 2
+    for alpha_y in iterates:
+        inside = (alpha_y >= a_c) & (alpha_y <= (v / 16.0) ** 0.25 * (1.0 + 1e-15))
+        assert np.all(inside | (v <= v_c))
 
 
 def test_variational_bound():

@@ -28,6 +28,7 @@ from qpmdesign.spdc import ProcessAmplitudes
 from conftest import strength
 from oracles import amplitude, gauss_legendre_box, index_profile
 
+TWO_PI = 2.0 * math.pi
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # log10 of a width or depth (um) across GEOMETRY_RANGE_UM
 log_um = st.floats(*(math.log10(x) for x in GEOMETRY_RANGE_UM))
@@ -52,9 +53,8 @@ def test_mode_alphas_are_one_function_of_v(material, log_w, log_h):
             requests.append((pol, lam))
             strengths.append(v)
     assume(requests)
-    ones = np.ones(len(requests))
     alpha_y, alpha_z, accepted = modesolver._newton(
-        1.0, depth / width, np.array(strengths) / 8.0, 1.0, 2000.0 * math.pi, ones)
+        1.0, depth / width, np.array(strengths) / 8.0, 1.0, 2000.0 * math.pi)
     assert accepted.all()
     for mode, ay, az in zip(ctx.solve_many(requests), alpha_y, alpha_z):
         assert mode.field.alpha_y == pytest.approx(ay, rel=1e-14, abs=0.0)
@@ -77,6 +77,38 @@ def test_mode_is_scale_invariant(log_w, log_h, lam, n_b, log_excess, k):
     two = solve_mode(WaveguideGeometry(width * scale, depth * scale), n_b, dn, lam * scale)
     assert (one.field.alpha_y, one.field.alpha_z, one.n_eff, one.guided) == (
         two.field.alpha_y, two.field.alpha_z, two.n_eff, two.guided)
+
+
+def harmonic_series(k0, kp, length_um, K, order=1001):
+    """The Fourier component at K of the product of two 50%-duty square
+    waves of frequencies k0 and kp, each sum over odd m of either sign of
+    (2 / (i pi m)) e^{i m k x}, over [0, L]: the double series of
+    (2 / (i pi m)) (2 / (i pi n)) e^{i D L/2} sinc(D L/2), D = m k0 + n kp
+    - K, over odd |m|, |n| <= ``order``."""
+    m = np.arange(1.0, order + 1.0, 2.0)
+    m = np.concatenate([-m[::-1], m])
+    a = 2.0 / (1j * math.pi * m)
+    x = 0.5 * length_um * ((m[:, None] * k0 + m[None, :] * kp) - K)
+    return complex(np.sum(np.outer(a, a) * np.exp(1j * x) * np.sinc(x / math.pi)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(scale=st.floats(0.99, 1.01), length_mm=st.floats(1.0, 50.0), near_k1=st.booleans(),
+       offset=st.floats(-20.0, 20.0))
+def test_fourier_component_is_the_harmonic_series(scale, length_mm, near_k1, offset):
+    """The synthesized pattern is the product of two square waves of
+    frequencies K0 = (K1 + K2)/2 and Kp = |K1 - K2|/2, so its Fourier
+    component is their double harmonic series, which needs K1, K2 and L
+    alone, not the pattern or the blocked sum. Within offset/L of K1 or K2
+    of a design scaled from the reference one, over 1-50 mm, the two agree
+    within 2e-5: truncated at order 1001 the series missed by up to 6.3e-6
+    over 200 random draws, while |c| departs from 4/pi^2 by 1.8e-5 to
+    6.9e-5 at 10 mm."""
+    k1, k2 = scale * TWO_PI / 4.579, scale * TWO_PI / 3.652
+    pattern = synthesize_pattern(periods_from_frequencies(k1, k2), length_mm)
+    K = (k1 if near_k1 else k2) + offset / pattern.length_um
+    series = harmonic_series(0.5 * (k1 + k2), 0.5 * abs(k1 - k2), pattern.length_um, K)
+    assert abs(fourier_component(pattern, K) - series) < 2e-5
 
 
 @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
